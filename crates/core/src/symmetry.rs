@@ -45,12 +45,16 @@
 //!    Candidates are in ascending port order, so mapping index groups
 //!    through an entry's candidate list preserves the eager sort order
 //!    bit-for-bit.
-//! 3. **Incremental reconvergence.** All interners, set-operation memos,
-//!    class-refinement chains, and decomposition templates are
-//!    content-addressed and persist across installs. After a fault, the
-//!    propagation replays mostly memo hits; only entries whose fingerprint
-//!    actually changed (their candidate set or a downstream link's
-//!    class/rate moved) miss the template cache and get re-decomposed.
+//! 3. **Warm reinstalls.** All interners, set-operation memos,
+//!    class-refinement chains, canonical signatures and decomposition
+//!    templates are content-addressed and persist across installs.
+//!    Restoring a failed link replays the old refinement chains, so every
+//!    entry hits the signature memo. A new fault mints fresh class ids
+//!    along every chain it perturbs, fabric-wide, so nearly every
+//!    asymmetric entry is walked again; the walk is still cheap (flat,
+//!    reused scratch arrays, see `WalkScratch`) and its canonical
+//!    signature almost always hits the template cache, so only entries
+//!    of genuinely new shape are re-decomposed.
 //!
 //! **Known deviation** (shared with the figure goldens, documented in
 //! DESIGN.md): eager truncates enumeration at
@@ -60,10 +64,10 @@
 //! eager only on fabrics with more than 65 536 shortest paths for a
 //! single entry — far beyond every topology family in this repo.
 
-use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 
 use drill_net::{NodeRef, PortGroup, RouteTable, SwitchId, Topology};
+use drill_sim::{FxHashMap, FxHashSet};
 
 use crate::decompose::{group_scored_paths, GroupingReport};
 use crate::quiver::{enumerate_shortest_paths, CapFactor, Quiver};
@@ -79,40 +83,41 @@ type BSet = Vec<(u32, u64)>;
 type LSet = Vec<(u32, CapFactor)>;
 /// An entry fingerprint: `(link class, rate_bps, child fingerprint)` per
 /// candidate, in candidate order. Canonical signatures reuse the same
-/// tuple shape (see [`canonical_signature`]).
+/// tuple shape (see [`WalkScratch::signature`]).
 type FKey = Vec<(u32, u64, u32)>;
 
-/// Content-addressed store mapping values to dense `u32` ids.
+/// Content-addressed store mapping slices to dense `u32` ids.
 ///
-/// Id 0 is always the empty (default) value, so "no prefix states" and the
-/// terminal fingerprint are the zero id and never need a lookup.
-struct Interner<T> {
-    vals: Vec<T>,
-    ids: HashMap<T, u32>,
+/// Id 0 is always the empty slice, so "no prefix states" and the terminal
+/// fingerprint are the zero id and never need a lookup. Lookups go by
+/// slice, so a hit allocates nothing.
+struct Interner<E> {
+    vals: Vec<Vec<E>>,
+    ids: FxHashMap<Vec<E>, u32>,
 }
 
-impl<T: Clone + Eq + Hash + Default> Interner<T> {
-    fn new() -> Interner<T> {
+impl<E: Copy + Eq + Hash> Interner<E> {
+    fn new() -> Interner<E> {
         let mut it = Interner {
             vals: Vec::new(),
-            ids: HashMap::new(),
+            ids: FxHashMap::default(),
         };
-        it.intern(T::default());
+        it.intern(&[]);
         it
     }
 
-    fn intern(&mut self, val: T) -> u32 {
-        if let Some(&id) = self.ids.get(&val) {
+    fn intern(&mut self, val: &[E]) -> u32 {
+        if let Some(&id) = self.ids.get(val) {
             return id;
         }
         let id = self.vals.len() as u32;
-        self.vals.push(val.clone());
-        self.ids.insert(val, id);
+        self.vals.push(val.to_vec());
+        self.ids.insert(val.to_vec(), id);
         id
     }
 
     #[inline]
-    fn get(&self, id: u32) -> &T {
+    fn get(&self, id: u32) -> &[E] {
         &self.vals[id as usize]
     }
 }
@@ -124,30 +129,34 @@ impl<T: Clone + Eq + Hash + Default> Interner<T> {
 /// calls additionally reuses all structural work that a fault did not
 /// invalidate (incremental reconvergence).
 pub struct SymmetryEngine {
-    bsets: Interner<BSet>,
-    lsets: Interner<LSet>,
-    fps: Interner<FKey>,
+    bsets: Interner<(u32, u64)>,
+    lsets: Interner<(u32, CapFactor)>,
+    fps: Interner<(u32, u64, u32)>,
     /// `(bset, rate)` -> bset with every bottleneck clamped to `rate`.
-    advance_memo: HashMap<(u32, u64), u32>,
+    advance_memo: FxHashMap<(u32, u64), u32>,
     /// `(bset, rate)` -> the label restriction those prefixes induce.
-    shift_memo: HashMap<(u32, u64), u32>,
+    shift_memo: FxHashMap<(u32, u64), u32>,
     /// `(bset, bset)` -> set union.
-    union_memo: HashMap<(u32, u32), u32>,
+    union_memo: FxHashMap<(u32, u32), u32>,
     /// `(old class, lset)` -> refined class. Chains are content-addressed:
     /// replaying identical restrictions yields identical final classes,
     /// across destinations and across installs.
-    class_memo: HashMap<(u32, u32), u32>,
+    class_memo: FxHashMap<(u32, u32), u32>,
     next_class: u32,
+    /// Final link class per link id, rebuilt by every install (kept only
+    /// to reuse its allocation).
+    class: Vec<u32>,
     /// Canonical signatures of entry subgraphs (class ids renumbered by
     /// first occurrence), in their own id space.
-    sigs: Interner<FKey>,
+    sigs: Interner<(u32, u64, u32)>,
     /// Exact fingerprint -> canonical signature id. On a warm reinstall an
     /// unchanged entry hits this map and skips its subgraph walk entirely.
-    canon_memo: HashMap<u32, u32>,
+    canon_memo: FxHashMap<u32, u32>,
     /// Canonical signature -> decomposition over candidate *indices*;
     /// `None` means a single symmetric component (install clears the
     /// entry's groups).
-    templates: HashMap<u32, Option<Vec<PortGroup>>>,
+    templates: FxHashMap<u32, Option<Vec<PortGroup>>>,
+    scratch: WalkScratch,
 }
 
 impl Default for SymmetryEngine {
@@ -163,14 +172,16 @@ impl SymmetryEngine {
             bsets: Interner::new(),
             lsets: Interner::new(),
             fps: Interner::new(),
-            advance_memo: HashMap::new(),
-            shift_memo: HashMap::new(),
-            union_memo: HashMap::new(),
-            class_memo: HashMap::new(),
+            advance_memo: FxHashMap::default(),
+            shift_memo: FxHashMap::default(),
+            union_memo: FxHashMap::default(),
+            class_memo: FxHashMap::default(),
             next_class: 1,
+            class: Vec::new(),
             sigs: Interner::new(),
-            canon_memo: HashMap::new(),
-            templates: HashMap::new(),
+            canon_memo: FxHashMap::default(),
+            templates: FxHashMap::default(),
+            scratch: WalkScratch::default(),
         }
     }
 
@@ -188,7 +199,14 @@ impl SymmetryEngine {
         // Phase 1: link classes by partition refinement over destinations.
         // `class[link] == 0` means "on no shortest path at all", matching
         // the eager score 0 for unlabeled links.
-        let mut class: Vec<u32> = vec![0; topo.links().len()];
+        let mut class = std::mem::take(&mut self.class);
+        class.clear();
+        class.resize(topo.links().len(), 0);
+        // A non-destination leaf originates its own paths: one seed state
+        // per leaf, interned once per install.
+        let seeds: Vec<u32> = (0..n_leaves as u32)
+            .map(|li| self.bsets.intern(&[(li, SOURCE_CAP)]))
+            .collect();
         let mut bstate: Vec<u32> = vec![0; n_switches];
         for d in 0..n_leaves as u32 {
             let levels = routes.dist_levels(d);
@@ -201,10 +219,10 @@ impl SymmetryEngine {
                     // A leaf that is not the destination originates its own
                     // paths (even while relaying others': eager enumerates
                     // from every source leaf independently).
-                    if dist > 0 && topo.leaf_index(a).is_some() {
-                        let li = topo.leaf_index(a).unwrap();
-                        let seed = self.bsets.intern(vec![(li, SOURCE_CAP)]);
-                        b = self.union(b, seed);
+                    if dist > 0 {
+                        if let Some(li) = topo.leaf_index(a) {
+                            b = self.union(b, seeds[li as usize]);
+                        }
                     }
                     if b == 0 {
                         // No shortest path reaches this switch for `d`:
@@ -229,8 +247,9 @@ impl SymmetryEngine {
         // Phase 2: entry fingerprints, destination first, and one
         // decomposition per distinct fingerprint.
         let mut fid: Vec<u32> = vec![0; n_switches];
-        let mut seen_fids: HashSet<u32> = HashSet::new();
+        let mut seen_sigs: FxHashSet<u32> = FxHashSet::default();
         let mut cand_buf: Vec<u16> = Vec::new();
+        let mut key: FKey = Vec::new();
         for d in 0..n_leaves as u32 {
             let levels = routes.dist_levels(d);
             for (dist, level) in levels.iter().enumerate() {
@@ -241,7 +260,7 @@ impl SymmetryEngine {
                     }
                     cand_buf.clear();
                     cand_buf.extend_from_slice(routes.candidates(a, d));
-                    let mut key: FKey = Vec::with_capacity(cand_buf.len());
+                    key.clear();
                     for &p in &cand_buf {
                         let link = topo.egress(a, p);
                         let child = match link.dst {
@@ -254,7 +273,7 @@ impl SymmetryEngine {
                     // spans every port => provably one component, nothing
                     // to walk or enumerate.
                     let collapsed = key.windows(2).all(|w| w[0] == w[1]);
-                    let f = self.fps.intern(key);
+                    let f = self.fps.intern(&key);
                     fid[a.index()] = f;
                     if cand_buf.len() < 2 {
                         continue;
@@ -265,18 +284,20 @@ impl SymmetryEngine {
                         // `u32::MAX` node field can't appear in a real walk
                         // signature, whose references are visit numbers.
                         self.sigs
-                            .intern(vec![(u32::MAX, cand_buf.len() as u64, u32::MAX)])
+                            .intern(&[(u32::MAX, cand_buf.len() as u64, u32::MAX)])
                     } else if let Some(&c) = self.canon_memo.get(&f) {
                         c
                     } else {
                         // The lazy per-entry quiver: walk this entry's
                         // candidate subgraph exactly once.
-                        let sig = canonical_signature(topo, routes, a, d, &class);
+                        let sig =
+                            self.scratch
+                                .signature(topo, routes, a, d, &class, self.next_class);
                         let c = self.sigs.intern(sig);
                         self.canon_memo.insert(f, c);
                         c
                     };
-                    if seen_fids.insert(canon) {
+                    if seen_sigs.insert(canon) {
                         report.classes += 1;
                     } else {
                         report.entries_reused += 1;
@@ -333,6 +354,7 @@ impl SymmetryEngine {
                 }
             }
         }
+        self.class = class;
 
         report.build_ns = start.elapsed().as_nanos() as u64;
         report
@@ -358,7 +380,7 @@ impl SymmetryEngine {
             out.dedup();
             out
         };
-        let id = self.bsets.intern(merged);
+        let id = self.bsets.intern(&merged);
         self.union_memo.insert((a, b), id);
         id
     }
@@ -381,7 +403,7 @@ impl SymmetryEngine {
             out.dedup();
             out
         };
-        let id = self.bsets.intern(advanced);
+        let id = self.bsets.intern(&advanced);
         self.advance_memo.insert((b, rate), id);
         id
     }
@@ -412,7 +434,7 @@ impl SymmetryEngine {
             out.dedup();
             out
         };
-        let id = self.lsets.intern(shifted);
+        let id = self.lsets.intern(&shifted);
         self.shift_memo.insert((b, rate), id);
         id
     }
@@ -432,77 +454,131 @@ impl SymmetryEngine {
     }
 }
 
-/// Canonical preorder serialization of one entry's candidate subgraph:
-/// nodes numbered by first visit, link classes renumbered by first
-/// occurrence. Each node contributes a `(u32::MAX, arity, visit_no)`
-/// header followed by one `(renumbered class, rate_bps, child visit_no)`
-/// tuple per candidate, with a newly visited child's block interleaved
-/// right after its edge (preorder), so the encoding is prefix-unambiguous.
-///
-/// Two entries with equal signatures have isomorphic class-labeled
-/// candidate DAGs (candidate order preserved), hence identical unrolled
-/// path trees up to a consistent renaming of class ids — and path-score
-/// grouping only depends on the *equality pattern* of scores, so their
-/// decompositions in candidate-index space coincide, weights included
-/// (capacities come from the rates, which the signature carries verbatim).
-fn canonical_signature(
-    topo: &Topology,
-    routes: &RouteTable,
-    entry: SwitchId,
-    dst_leaf: u32,
-    class: &[u32],
-) -> FKey {
-    let mut node_no: HashMap<u32, u32> = HashMap::new();
-    let mut class_no: HashMap<u32, u32> = HashMap::new();
-    let mut sig: FKey = Vec::new();
-    node_no.insert(entry.0, 0);
-    walk(
-        topo,
-        routes,
-        entry,
-        dst_leaf,
-        class,
-        &mut node_no,
-        &mut class_no,
-        &mut sig,
-    );
-    sig
+/// First-occurrence numbering of dense ids (switch ids or link class
+/// ids) for one walk at a time. Each slot carries the stamp of the walk
+/// that numbered it, so a slot from an earlier walk reads as unnumbered
+/// and starting a walk costs nothing here.
+#[derive(Default)]
+struct Numbering {
+    /// `(stamp, number)` per id.
+    slots: Vec<(u32, u32)>,
+    next: u32,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn walk(
-    topo: &Topology,
-    routes: &RouteTable,
-    s: SwitchId,
-    dst_leaf: u32,
-    class: &[u32],
-    node_no: &mut HashMap<u32, u32>,
-    class_no: &mut HashMap<u32, u32>,
-    sig: &mut FKey,
-) {
-    let cands = routes.candidates(s, dst_leaf);
-    sig.push((u32::MAX, cands.len() as u64, node_no[&s.0]));
-    for &p in cands {
-        let link = topo.egress(s, p);
-        let next_class_no = class_no.len() as u32;
-        let cn = *class_no
-            .entry(class[link.id.index()])
-            .or_insert(next_class_no);
-        let t = match link.dst {
-            NodeRef::Switch(t) => t,
-            NodeRef::Host(_) => unreachable!("candidates are switch links"),
-        };
-        let (tn, first_visit) = match node_no.get(&t.0) {
-            Some(&n) => (n, false),
-            None => {
-                let n = node_no.len() as u32;
-                node_no.insert(t.0, n);
-                (n, true)
+impl Numbering {
+    fn reset(&mut self, n_ids: usize, wrapped: bool) {
+        if wrapped {
+            // Slots stamped 2^32 walks ago would read as current.
+            self.slots.fill((0, 0));
+        }
+        if self.slots.len() < n_ids {
+            self.slots.resize(n_ids, (0, 0));
+        }
+        self.next = 0;
+    }
+
+    /// The number of `id` in the walk stamped `gen`, and whether this call
+    /// assigned it.
+    #[inline]
+    fn number(&mut self, gen: u32, id: usize) -> (u32, bool) {
+        let slot = &mut self.slots[id];
+        if slot.0 == gen {
+            return (slot.1, false);
+        }
+        *slot = (gen, self.next);
+        self.next += 1;
+        (slot.1, true)
+    }
+}
+
+/// Reusable state of the canonical-signature walk: once its arrays and
+/// signature buffer have grown to the fabric's size, a walk allocates
+/// nothing and starting one is a stamp increment.
+#[derive(Default)]
+struct WalkScratch {
+    /// The current walk's stamp. Never 0 during a walk, so default slots
+    /// always read as unnumbered.
+    gen: u32,
+    /// Visit numbers, by switch id.
+    nodes: Numbering,
+    /// Renumbered link classes, by class id.
+    classes: Numbering,
+    sig: FKey,
+}
+
+impl WalkScratch {
+    /// Start a new walk over `n_switches` switch ids and link class ids
+    /// below `n_classes` (refinement keeps minting class ids, so a warm
+    /// install can need more slots than the last one).
+    fn reset(&mut self, n_switches: usize, n_classes: usize) {
+        self.gen = self.gen.wrapping_add(1);
+        let wrapped = self.gen == 0;
+        if wrapped {
+            self.gen = 1;
+        }
+        self.nodes.reset(n_switches, wrapped);
+        self.classes.reset(n_classes, wrapped);
+        self.sig.clear();
+    }
+
+    /// Canonical preorder serialization of one entry's candidate subgraph,
+    /// whose links carry the classes in `class` (all below `n_classes`):
+    /// nodes numbered by first visit, link classes renumbered by first
+    /// occurrence. Each node contributes a `(u32::MAX, arity, visit_no)`
+    /// header followed by one `(renumbered class, rate_bps, child
+    /// visit_no)` tuple per candidate, with a newly visited child's block
+    /// interleaved right after its edge (preorder), so the encoding is
+    /// prefix-unambiguous.
+    ///
+    /// Two entries with equal signatures have isomorphic class-labeled
+    /// candidate DAGs (candidate order preserved), hence identical unrolled
+    /// path trees up to a consistent renaming of class ids — and path-score
+    /// grouping only depends on the *equality pattern* of scores, so their
+    /// decompositions in candidate-index space coincide, weights included
+    /// (capacities come from the rates, which the signature carries
+    /// verbatim).
+    fn signature(
+        &mut self,
+        topo: &Topology,
+        routes: &RouteTable,
+        entry: SwitchId,
+        dst_leaf: u32,
+        class: &[u32],
+        n_classes: u32,
+    ) -> &[(u32, u64, u32)] {
+        self.reset(topo.num_switches(), n_classes as usize);
+        let (root, _) = self.nodes.number(self.gen, entry.index());
+        self.walk(topo, routes, entry, root, dst_leaf, class);
+        &self.sig
+    }
+
+    /// Serialize switch `s`, already numbered `sn`, and every switch first
+    /// reached through it.
+    fn walk(
+        &mut self,
+        topo: &Topology,
+        routes: &RouteTable,
+        s: SwitchId,
+        sn: u32,
+        dst_leaf: u32,
+        class: &[u32],
+    ) {
+        let cands = routes.candidates(s, dst_leaf);
+        self.sig.push((u32::MAX, cands.len() as u64, sn));
+        for &p in cands {
+            let link = topo.egress(s, p);
+            let (cn, _) = self
+                .classes
+                .number(self.gen, class[link.id.index()] as usize);
+            let t = match link.dst {
+                NodeRef::Switch(t) => t,
+                NodeRef::Host(_) => unreachable!("candidates are switch links"),
+            };
+            let (tn, first_visit) = self.nodes.number(self.gen, t.index());
+            self.sig.push((cn, link.rate_bps, tn));
+            if first_visit {
+                self.walk(topo, routes, t, tn, dst_leaf, class);
             }
-        };
-        sig.push((cn, link.rate_bps, tn));
-        if first_visit {
-            walk(topo, routes, t, dst_leaf, class, node_no, class_no, sig);
         }
     }
 }
@@ -515,6 +591,8 @@ mod tests {
         clos, leaf_spine, leaf_spine_custom, vl2, ClosSpec, LeafSpineSpec, LinkId, SwitchId,
         Vl2Spec, DEFAULT_PROP,
     };
+    use drill_sim::SimRng;
+    use std::collections::HashMap;
 
     fn spec(spines: usize, leaves: usize) -> LeafSpineSpec {
         LeafSpineSpec {
@@ -700,5 +778,225 @@ mod tests {
         assert_eq!(report.asymmetric_entries, 0);
         assert_eq!(report.max_components, 1);
         assert!(group_table(&topo, &r2).is_empty());
+    }
+
+    /// The hash-map form of [`WalkScratch::signature`], kept as its
+    /// oracle: fresh maps number nodes and classes on every call, so no
+    /// state can leak between walks.
+    fn oracle_signature(
+        topo: &Topology,
+        routes: &RouteTable,
+        entry: SwitchId,
+        dst_leaf: u32,
+        class: &[u32],
+    ) -> FKey {
+        let mut node_no: HashMap<u32, u32> = HashMap::new();
+        let mut class_no: HashMap<u32, u32> = HashMap::new();
+        let mut sig: FKey = Vec::new();
+        node_no.insert(entry.0, 0);
+        oracle_walk(
+            topo,
+            routes,
+            entry,
+            dst_leaf,
+            class,
+            &mut node_no,
+            &mut class_no,
+            &mut sig,
+        );
+        sig
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn oracle_walk(
+        topo: &Topology,
+        routes: &RouteTable,
+        s: SwitchId,
+        dst_leaf: u32,
+        class: &[u32],
+        node_no: &mut HashMap<u32, u32>,
+        class_no: &mut HashMap<u32, u32>,
+        sig: &mut FKey,
+    ) {
+        let cands = routes.candidates(s, dst_leaf);
+        sig.push((u32::MAX, cands.len() as u64, node_no[&s.0]));
+        for &p in cands {
+            let link = topo.egress(s, p);
+            let next_class_no = class_no.len() as u32;
+            let cn = *class_no
+                .entry(class[link.id.index()])
+                .or_insert(next_class_no);
+            let t = match link.dst {
+                NodeRef::Switch(t) => t,
+                NodeRef::Host(_) => unreachable!("candidates are switch links"),
+            };
+            let (tn, first_visit) = match node_no.get(&t.0) {
+                Some(&n) => (n, false),
+                None => {
+                    let n = node_no.len() as u32;
+                    node_no.insert(t.0, n);
+                    (n, true)
+                }
+            };
+            sig.push((cn, link.rate_bps, tn));
+            if first_visit {
+                oracle_walk(topo, routes, t, dst_leaf, class, node_no, class_no, sig);
+            }
+        }
+    }
+
+    /// Install on `engine`, then check the scratch walk against the oracle
+    /// on every multi-candidate entry (collapsed ones included) under the
+    /// link classes that install produced. Returns the entries checked.
+    fn install_and_check_walk(engine: &mut SymmetryEngine, topo: &Topology) -> usize {
+        let mut routes = RouteTable::compute(topo);
+        engine.install(topo, &mut routes);
+        let class = &engine.class;
+        let mut checked = 0;
+        for si in 0..topo.num_switches() {
+            let s = SwitchId(si as u32);
+            for d in 0..topo.num_leaves() as u32 {
+                if routes.candidates(s, d).len() < 2 {
+                    continue;
+                }
+                let want = oracle_signature(topo, &routes, s, d, class);
+                let got = engine
+                    .scratch
+                    .signature(topo, &routes, s, d, class, engine.next_class);
+                assert_eq!(got, &want[..], "signature of switch {si} toward leaf {d}");
+                checked += 1;
+            }
+        }
+        checked
+    }
+
+    /// Cold install, fail `links`, reinstall, restore them, reinstall —
+    /// all on one engine, so every walk after the first install runs on
+    /// scratch state earlier walks left behind.
+    fn check_walk_cold_fail_restore(mut topo: Topology, links: &[(SwitchId, SwitchId)]) {
+        let mut engine = SymmetryEngine::new();
+        assert!(install_and_check_walk(&mut engine, &topo) > 0);
+        for &(a, b) in links {
+            assert!(topo.fail_switch_link(a, b, 0));
+        }
+        install_and_check_walk(&mut engine, &topo);
+        for &(a, b) in links {
+            assert!(topo.restore_switch_link(a, b, 0));
+        }
+        install_and_check_walk(&mut engine, &topo);
+    }
+
+    fn first_hop(topo: &Topology, s: SwitchId, port: u16) -> SwitchId {
+        match topo.egress(s, port).dst {
+            NodeRef::Switch(t) => t,
+            NodeRef::Host(_) => unreachable!("port {port} of {s:?} faces a host"),
+        }
+    }
+
+    /// The named fabrics of the eager-equality tests above, each with its
+    /// failures applied and then restored.
+    #[test]
+    fn walk_matches_oracle_on_named_fabrics() {
+        let fig4 = leaf_spine(&spec(3, 4));
+        let fig4_fail = vec![(fig4.leaves()[0], SwitchId(4))];
+
+        let striped_spec = LeafSpineSpec {
+            core_rate: 10_000_000_000,
+            ..spec(3, 4)
+        };
+        let striped = leaf_spine_custom(&striped_spec, |leaf, spine| {
+            let fat = (leaf == 0 && spine <= 1) || (leaf == 1 && spine == 0);
+            vec![if fat { 40_000_000_000 } else { 10_000_000_000 }]
+        });
+        let l2 = striped.leaves()[2];
+        let striped_fail = vec![(l2, first_hop(&striped, l2, 0))];
+
+        let vl2 = vl2(&Vl2Spec::paper());
+        let vl2_fail = vec![(vl2.leaves()[0], SwitchId(16))];
+
+        let clos = clos(&ClosSpec::smoke());
+        let l0 = clos.leaves()[0];
+        let agg = first_hop(&clos, l0, 0);
+        let clos_fail = vec![(l0, agg), (agg, first_hop(&clos, agg, 2))];
+
+        for (topo, fail) in [
+            (fig4, fig4_fail),
+            (striped, striped_fail),
+            (vl2, vl2_fail),
+            (clos, clos_fail),
+        ] {
+            check_walk_cold_fail_restore(topo, &fail);
+        }
+    }
+
+    /// Seeded failure sets of one to three switch-switch links of any
+    /// tier, on the smoke Clos and the Fig-4 leaf-spine.
+    #[test]
+    fn walk_matches_oracle_on_random_failures() {
+        for seed in 0..50u64 {
+            let topo = if seed % 2 == 0 {
+                clos(&ClosSpec::smoke())
+            } else {
+                leaf_spine(&spec(3, 4))
+            };
+            let mut pairs: Vec<(SwitchId, SwitchId)> = topo
+                .links()
+                .iter()
+                .filter_map(|l| match (l.src, l.dst) {
+                    (NodeRef::Switch(a), NodeRef::Switch(b)) if a.0 < b.0 => Some((a, b)),
+                    _ => None,
+                })
+                .collect();
+            pairs.sort_unstable_by_key(|&(a, b)| (a.0, b.0));
+            pairs.dedup();
+            let mut rng = SimRng::seed_from(seed);
+            rng.shuffle(&mut pairs);
+            pairs.truncate(1 + rng.below(3));
+            check_walk_cold_fail_restore(topo, &pairs);
+        }
+    }
+
+    /// Slots stamped before the generation wraps must read as unnumbered
+    /// after it: the wrap clears the arrays.
+    #[test]
+    fn scratch_stamp_wrap_clears_slots() {
+        let mut s = WalkScratch::default();
+        s.reset(4, 4);
+        assert_eq!(s.nodes.number(s.gen, 2), (0, true));
+        assert_eq!(s.nodes.number(s.gen, 2), (0, false));
+        s.gen = u32::MAX - 1;
+        s.reset(4, 4);
+        assert_eq!(s.gen, u32::MAX);
+        s.reset(4, 4);
+        assert_eq!(s.gen, 1, "the wrap skips the never-written stamp 0");
+        assert_eq!(s.nodes.number(s.gen, 1), (0, true));
+        assert_eq!(
+            s.nodes.number(s.gen, 2),
+            (1, true),
+            "a slot an earlier walk stamped with the same stamp reads as unnumbered"
+        );
+    }
+
+    /// The wrap on a live engine: with the stamp started near `u32::MAX`,
+    /// it wraps during the failure reinstall, and walks on both sides of
+    /// the wrap must match the oracle. The class slots must also grow to
+    /// cover the ids refinement minted after the cold install.
+    #[test]
+    fn walk_matches_oracle_across_stamp_wrap_and_class_growth() {
+        let mut topo = clos(&ClosSpec::smoke());
+        let mut engine = SymmetryEngine::new();
+        install_and_check_walk(&mut engine, &topo);
+        let cold_classes = engine.next_class;
+        engine.scratch.gen = u32::MAX - 3;
+        let l0 = topo.leaves()[0];
+        let agg = first_hop(&topo, l0, 0);
+        assert!(topo.fail_switch_link(l0, agg, 0));
+        assert!(install_and_check_walk(&mut engine, &topo) > 4);
+        assert!(engine.scratch.gen < 1 << 16, "the stamp wrapped");
+        assert!(
+            engine.next_class > cold_classes,
+            "refinement minted new classes"
+        );
+        assert!(engine.scratch.classes.slots.len() >= engine.next_class as usize);
     }
 }

@@ -18,6 +18,13 @@ DRILL_THREADS=1 cargo test -q
 echo "== cargo test -q (wheel queue, DRILL_THREADS=8) =="
 DRILL_THREADS=8 cargo test -q
 
+echo "== cargo test --workspace -q (crate unit tests) =="
+# Root `cargo test` builds only the `drill` package; the unit tests inside
+# crates/* (world, switch, wheel, arena, the §3.4 symmetry engine and its
+# signature-walk oracle, ...) run only under --workspace. The root
+# package's own suites already ran in the two rows above.
+cargo test --workspace --exclude drill -q
+
 echo "== cargo test -q (--features heap-queue) =="
 cargo test -q --features heap-queue
 
