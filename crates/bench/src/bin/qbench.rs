@@ -1,481 +1,22 @@
-//! qbench: std-only microbenchmark of the simulator event queue.
+//! qbench: end-to-end wall clock of one fig2-shaped run, std-only.
 //!
-//! Compares the timing-wheel [`WheelQueue`] against the legacy binary-heap
-//! [`HeapQueue`] in-process, with no external benchmark framework (the
-//! criterion benches are feature-gated for offline builds; this binary is
-//! the default perf entry point).
+//! `--e2e` runs one fig2-shaped experiment (open-loop packet trains,
+//! queue sampling on) and prints a single JSON object with the wall-clock
+//! time and event count. `--e2e-telemetry` runs the identical experiment
+//! with the `drill-telemetry` flight recorder + queue sampler attached,
+//! and `--e2e-audit` with the `drill-audit` invariant watchdogs evaluated
+//! at event-count boundaries. Probes and audits observe, never steer, so
+//! all three modes must report the same event count; `scripts/qbench.sh`
+//! interleaves them (and `DRILL_SHARDS=1/2/8`) and asserts exactly that.
 //!
-//! Workloads:
-//!
-//! * **hold(n)** — the steady-state shape of a simulation: `n` events
-//!   resident, each iteration pops the earliest and schedules a
-//!   replacement a short random gap ahead (sizes 64 / 4096 / 65536).
-//! * **churn** — 1M scheduled events under a mixed push / cancel / pop
-//!   interleaving with a heavy-tailed deadline spread that exercises
-//!   every wheel level and the far-future overflow.
-//! * **hold4096_pay24 / _pay112** — hold(4096) with inert payloads sized
-//!   like a handle-based event vs a by-value packet: the micro half of
-//!   the `arena_ab` section (the e2e half A/Bs the `fat-events` build).
-//!
-//! Methodology: one warmup run, then the median of nine timed runs per
-//! (workload, queue) cell. Output is a JSON document on stdout; see
-//! `scripts/qbench.sh` for the full A/B harness that also times an
-//! end-to-end fig2-style run under both queue builds and assembles
-//! `results/qbench.json`.
-//!
-//! `--e2e` instead runs one fig2-shaped experiment (open-loop packet
-//! trains, queue sampling on) against whichever `EventQueue` this binary
-//! was compiled with (`--features heap-queue` selects the heap) and prints
-//! a single JSON object with the wall-clock time. `--e2e-telemetry` runs
-//! the identical experiment with the `drill-telemetry` flight recorder +
-//! queue sampler attached, for the probe-overhead A/B in
-//! `scripts/qbench.sh` (the event count must match `--e2e` exactly:
-//! probes observe, never steer). `--e2e-audit` runs it with the
-//! `drill-audit` invariant watchdogs evaluated at event-count boundaries,
-//! for the auditor-overhead A/B (same contract: audits observe, never
-//! steer, so the event count must again match `--e2e` exactly).
-//!
-//! `--control` is the §3.4 control-plane A/B: on mid-size fabrics with
-//! failed uplinks it times eager enumeration vs a cold structural install
-//! vs a warm (memoized) reinstall, asserting identical group tables
-//! first. `scripts/qbench.sh` lands it in `results/qbench.json` under
-//! `control_ab`.
+//! Per-layer costs (wheel, arena, switch, §3.4 control plane, TCP) are
+//! measured by the `perfbench/` package instead.
 
-use std::hint::black_box;
 use std::time::Instant;
 
-use drill_core::{install_symmetric_groups_eager, SymmetryEngine};
-use drill_net::{ClosSpec, LeafSpineSpec, PortGroup, RouteTable, SwitchId, Topology, DEFAULT_PROP};
-use drill_runtime::{
-    random_leaf_spine_failures, run, AuditSpec, ExperimentConfig, Scheme, TelemetrySpec, TopoSpec,
-};
-use drill_sim::{EventToken, HeapQueue, SimRng, Time, WheelQueue};
-
-/// The common surface of the two queue implementations.
-trait EventQ {
-    const NAME: &'static str;
-    fn make() -> Self;
-    fn push(&mut self, at: Time, p: u64);
-    fn push_cancellable(&mut self, at: Time, p: u64) -> EventToken;
-    fn cancel(&mut self, tok: EventToken);
-    fn pop(&mut self) -> Option<(Time, u64)>;
-    fn now(&self) -> Time;
-}
-
-macro_rules! impl_eventq {
-    ($ty:ident, $name:literal) => {
-        impl EventQ for $ty<u64> {
-            const NAME: &'static str = $name;
-            fn make() -> Self {
-                $ty::new()
-            }
-            fn push(&mut self, at: Time, p: u64) {
-                $ty::push(self, at, p)
-            }
-            fn push_cancellable(&mut self, at: Time, p: u64) -> EventToken {
-                $ty::push_cancellable(self, at, p)
-            }
-            fn cancel(&mut self, tok: EventToken) {
-                $ty::cancel(self, tok)
-            }
-            fn pop(&mut self) -> Option<(Time, u64)> {
-                $ty::pop(self)
-            }
-            fn now(&self) -> Time {
-                $ty::now(self)
-            }
-        }
-    };
-}
-
-impl_eventq!(WheelQueue, "wheel");
-impl_eventq!(HeapQueue, "heap");
-
-/// hold(n): pop-one/push-one at steady state. Returns (ops, seconds)
-/// where one op is a pop + a push.
-fn hold<Q: EventQ>(n: usize, iters: usize) -> (u64, f64) {
-    let mut q = Q::make();
-    let mut rng = SimRng::seed_from(42);
-    for i in 0..n {
-        q.push(Time::from_nanos(1 + rng.below(10_000) as u64), i as u64);
-    }
-    let start = Instant::now();
-    for _ in 0..iters {
-        let (t, p) = q.pop().expect("queue holds n events");
-        black_box(p);
-        // Mostly short gaps (packet service times), occasional long ones
-        // (timers), as in a real run.
-        let gap = if rng.below(16) == 0 {
-            rng.below(1 << 22)
-        } else {
-            rng.below(4096)
-        };
-        q.push(t + Time::from_nanos(1 + gap as u64), p);
-    }
-    (iters as u64, start.elapsed().as_secs_f64())
-}
-
-/// churn: `events` pushes against a large resident population (the shape
-/// of a packed simulation: one RTO timer per flow plus packet events),
-/// with cancel traffic both before *and after* events fire — the
-/// cancel-after-fire case is the TCP pattern that grew the old heap's
-/// cancelled set without bound. Returns (schedule+fire ops, seconds).
-fn churn<Q: EventQ>(events: usize) -> (u64, f64) {
-    const RESIDENT: usize = 65_536;
-    let mut q = Q::make();
-    let mut rng = SimRng::seed_from(7);
-    let mut tokens: Vec<EventToken> = Vec::new();
-    let mut pushed = 0u64;
-    let mut fired = 0u64;
-    let start = Instant::now();
-    for i in 0..RESIDENT {
-        q.push(Time::from_nanos(1 + rng.below(1 << 22) as u64), i as u64);
-        pushed += 1;
-    }
-    while (pushed as usize) < events {
-        // Packet service times and RTT-scale timers dominate; millisecond
-        // and second-scale (RTO max, reconvergence) deadlines are the tail.
-        let gap = match rng.below(16) {
-            0..=11 => rng.below(1 << 14) as u64,
-            12..=13 => rng.below(1 << 22) as u64,
-            14 => rng.below(1 << 30) as u64,
-            _ => (1u64 << 36) + rng.below(1 << 30) as u64,
-        };
-        let at = q.now() + Time::from_nanos(1 + gap);
-        // TCP re-arms its RTO on every ACK: half the pushes are timers,
-        // and cancels run at comparable rate.
-        if rng.below(2) == 0 {
-            tokens.push(q.push_cancellable(at, pushed));
-        } else {
-            q.push(at, pushed);
-        }
-        pushed += 1;
-        if let Some((_, p)) = q.pop() {
-            black_box(p);
-            fired += 1;
-        }
-        // Cancel an outstanding token; roughly half have already fired,
-        // so both cancel paths (pending and post-delivery) stay hot.
-        if rng.below(2) == 0 && !tokens.is_empty() {
-            let i = rng.below(tokens.len());
-            q.cancel(tokens.swap_remove(i));
-        }
-    }
-    while let Some((_, p)) = q.pop() {
-        black_box(p);
-        fired += 1;
-    }
-    (pushed + fired, start.elapsed().as_secs_f64())
-}
-
-/// hold(4096) with an `S`-byte inert payload: isolates the cost of event
-/// *size* in the queue (slab node copies, batch sorts) from everything
-/// else. 24 bytes matches the handle-based `Event`, 112 a by-value
-/// `Packet` — the micro half of the `arena_ab` section.
-fn hold_payload<const S: usize>(iters: usize) -> (u64, f64) {
-    #[derive(Clone)]
-    struct Pay<const S: usize>([u8; S]);
-    const N: usize = 4096;
-    let mut q: WheelQueue<Pay<S>> = WheelQueue::new();
-    let mut rng = SimRng::seed_from(42);
-    for i in 0..N {
-        q.push(
-            Time::from_nanos(1 + rng.below(10_000) as u64),
-            Pay([i as u8; S]),
-        );
-    }
-    let start = Instant::now();
-    for _ in 0..iters {
-        let (t, p) = q.pop().expect("queue holds n events");
-        let gap = if rng.below(16) == 0 {
-            rng.below(1 << 22)
-        } else {
-            rng.below(4096)
-        };
-        q.push(t + Time::from_nanos(1 + gap as u64), black_box(p));
-    }
-    (iters as u64, start.elapsed().as_secs_f64())
-}
-
-/// One warmup, then the median of `runs` timed executions.
-fn median_of<F: FnMut() -> (u64, f64)>(mut f: F, runs: usize) -> (u64, f64) {
-    f(); // warmup
-    let mut timed: Vec<(u64, f64)> = (0..runs).map(|_| f()).collect();
-    timed.sort_by(|a, b| a.1.total_cmp(&b.1));
-    timed[runs / 2]
-}
-
-struct Cell {
-    workload: String,
-    queue: &'static str,
-    ops: u64,
-    secs: f64,
-}
-
-impl Cell {
-    fn ops_per_sec(&self) -> f64 {
-        self.ops as f64 / self.secs
-    }
-}
-
-fn bench_pair<W: EventQ, H: EventQ>(
-    workload: &str,
-    runs: usize,
-    mut f: impl FnMut(bool) -> (u64, f64),
-    out: &mut Vec<Cell>,
-) {
-    let (ops, secs) = median_of(|| f(false), runs);
-    out.push(Cell {
-        workload: workload.into(),
-        queue: W::NAME,
-        ops,
-        secs,
-    });
-    let (ops, secs) = median_of(|| f(true), runs);
-    out.push(Cell {
-        workload: workload.into(),
-        queue: H::NAME,
-        ops,
-        secs,
-    });
-}
-
-fn micro() {
-    const RUNS: usize = 9;
-    let mut cells: Vec<Cell> = Vec::new();
-    for &n in &[64usize, 4096, 65536] {
-        let iters = 2_000_000;
-        bench_pair::<WheelQueue<u64>, HeapQueue<u64>>(
-            &format!("hold{n}"),
-            RUNS,
-            |heap| {
-                if heap {
-                    hold::<HeapQueue<u64>>(n, iters)
-                } else {
-                    hold::<WheelQueue<u64>>(n, iters)
-                }
-            },
-            &mut cells,
-        );
-    }
-    bench_pair::<WheelQueue<u64>, HeapQueue<u64>>(
-        "churn1M",
-        RUNS,
-        |heap| {
-            if heap {
-                churn::<HeapQueue<u64>>(1_000_000)
-            } else {
-                churn::<WheelQueue<u64>>(1_000_000)
-            }
-        },
-        &mut cells,
-    );
-    // Event-size micro for the arena A/B: same wheel, same workload, the
-    // payload alone grows from handle-sized to packet-sized.
-    let iters = 2_000_000;
-    let (ops, secs) = median_of(|| hold_payload::<24>(iters), RUNS);
-    cells.push(Cell {
-        workload: "hold4096_pay24".into(),
-        queue: "wheel",
-        ops,
-        secs,
-    });
-    let (ops, secs) = median_of(|| hold_payload::<112>(iters), RUNS);
-    cells.push(Cell {
-        workload: "hold4096_pay112".into(),
-        queue: "wheel",
-        ops,
-        secs,
-    });
-
-    println!("{{");
-    println!("  \"bench\": \"qbench\",");
-    println!("  \"runs_per_cell\": 9,");
-    println!("  \"results\": [");
-    for (i, c) in cells.iter().enumerate() {
-        let comma = if i + 1 < cells.len() { "," } else { "" };
-        println!(
-            "    {{\"workload\": \"{}\", \"queue\": \"{}\", \"ops\": {}, \"secs\": {:.6}, \"mops_per_sec\": {:.3}}}{comma}",
-            c.workload,
-            c.queue,
-            c.ops,
-            c.secs,
-            c.ops_per_sec() / 1e6
-        );
-    }
-    println!("  ],");
-    println!("  \"speedup_wheel_over_heap\": {{");
-    // Only workloads benched on both queues enter the speedup table (the
-    // payload-size cells are wheel-only).
-    let workloads: Vec<String> = {
-        let mut w: Vec<String> = cells.iter().map(|c| c.workload.clone()).collect();
-        w.dedup();
-        w.retain(|w| cells.iter().any(|c| &c.workload == w && c.queue == "heap"));
-        w
-    };
-    for (i, w) in workloads.iter().enumerate() {
-        let wheel = cells
-            .iter()
-            .find(|c| &c.workload == w && c.queue == "wheel")
-            .unwrap();
-        let heap = cells
-            .iter()
-            .find(|c| &c.workload == w && c.queue == "heap")
-            .unwrap();
-        let comma = if i + 1 < workloads.len() { "," } else { "" };
-        println!(
-            "    \"{w}\": {:.3}{comma}",
-            wheel.ops_per_sec() / heap.ops_per_sec()
-        );
-    }
-    println!("  }}");
-    println!("}}");
-}
-
-/// `--control`: the §3.4 control-plane A/B. On mid-size fabrics with two
-/// failed uplinks (so the decomposition has real asymmetric work), time a
-/// full route-compute + group install three ways:
-///
-/// * **eager** — `install_symmetric_groups_eager`, the legacy per-pair
-///   path enumeration;
-/// * **structural_cold** — a fresh [`SymmetryEngine`] per run (the cost a
-///   process pays on its first install);
-/// * **structural_warm** — one engine reused across runs (the
-///   reconvergence cost: interners, canon memo and decomposition
-///   templates all hit).
-///
-/// Each cell is the median of five runs after a warmup, and the harness
-/// first asserts the eager and structural group tables are identical —
-/// the speedup is only meaningful against bit-equal output.
-fn control() {
-    const RUNS: usize = 5;
-    const FAILURES: usize = 2;
-    struct Fabric {
-        name: &'static str,
-        spec: fn() -> TopoSpec,
-    }
-    let fabrics = [
-        Fabric {
-            name: "leafspine24",
-            spec: || {
-                TopoSpec::LeafSpine(LeafSpineSpec {
-                    spines: 24,
-                    leaves: 24,
-                    hosts_per_leaf: 4,
-                    host_rate: 10_000_000_000,
-                    core_rate: 40_000_000_000,
-                    prop: DEFAULT_PROP,
-                })
-            },
-        },
-        Fabric {
-            name: "fattree8",
-            spec: || TopoSpec::FatTree {
-                k: 8,
-                rate: 10_000_000_000,
-            },
-        },
-        Fabric {
-            name: "clos512",
-            spec: || {
-                TopoSpec::Clos(ClosSpec {
-                    pods: 8,
-                    leaves_per_pod: 4,
-                    aggs_per_pod: 4,
-                    cores: 8,
-                    hosts_per_leaf: 16,
-                    host_rate: 10_000_000_000,
-                    leaf_agg_rate: 40_000_000_000,
-                    agg_core_rate: 40_000_000_000,
-                    prop: DEFAULT_PROP,
-                })
-            },
-        },
-    ];
-
-    fn table(topo: &Topology, routes: &RouteTable) -> Vec<(u32, u32, Vec<PortGroup>)> {
-        let mut out = Vec::new();
-        for si in 0..topo.num_switches() as u32 {
-            for d in 0..topo.num_leaves() as u32 {
-                let g = routes.groups(SwitchId(si), d);
-                if !g.is_empty() {
-                    out.push((si, d, g.to_vec()));
-                }
-            }
-        }
-        out
-    }
-
-    println!("{{");
-    println!("  \"bench\": \"control_ab\",");
-    println!("  \"runs_per_cell\": {RUNS},");
-    println!("  \"failures\": {FAILURES},");
-    println!("  \"fabrics\": [");
-    for (i, f) in fabrics.iter().enumerate() {
-        let mut topo = (f.spec)().build();
-        for &(a, b) in &random_leaf_spine_failures(&topo, FAILURES, 0xC7A1) {
-            let ok = topo.fail_switch_link(SwitchId(a), SwitchId(b), 0)
-                || topo.fail_switch_link(SwitchId(b), SwitchId(a), 0);
-            assert!(ok, "{}: pair ({a},{b}) matches no live link", f.name);
-        }
-        // Correctness gate: identical group tables, then keep the warmed
-        // engine for the reconvergence cells.
-        let mut eager_routes = RouteTable::compute(&topo);
-        let eager_report = install_symmetric_groups_eager(&topo, &mut eager_routes);
-        let mut warm = SymmetryEngine::new();
-        let mut structural_routes = RouteTable::compute(&topo);
-        let report = warm.install(&topo, &mut structural_routes);
-        assert_eq!(
-            table(&topo, &eager_routes),
-            table(&topo, &structural_routes),
-            "{}: structural and eager group tables must be identical",
-            f.name
-        );
-        let timed = |body: &mut dyn FnMut()| -> f64 {
-            median_of(
-                || {
-                    let start = Instant::now();
-                    body();
-                    (1, start.elapsed().as_secs_f64())
-                },
-                RUNS,
-            )
-            .1
-        };
-        let eager_secs = timed(&mut || {
-            let mut r = RouteTable::compute(&topo);
-            black_box(install_symmetric_groups_eager(&topo, &mut r));
-        });
-        let cold_secs = timed(&mut || {
-            let mut r = RouteTable::compute(&topo);
-            black_box(SymmetryEngine::new().install(&topo, &mut r));
-        });
-        let warm_secs = timed(&mut || {
-            let mut r = RouteTable::compute(&topo);
-            black_box(warm.install(&topo, &mut r));
-        });
-        let comma = if i + 1 < fabrics.len() { "," } else { "" };
-        println!(
-            "    {{\"fabric\": \"{}\", \"entries\": {}, \"classes\": {}, \"entries_reused\": {}, \
-\"paths_structural\": {}, \"paths_eager\": {}, \"eager_secs\": {:.6}, \
-\"structural_cold_secs\": {:.6}, \"structural_warm_secs\": {:.6}, \
-\"speedup_cold\": {:.3}, \"speedup_warm\": {:.3}}}{comma}",
-            f.name,
-            report.entries,
-            report.classes,
-            report.entries_reused,
-            report.paths_enumerated,
-            eager_report.paths_enumerated,
-            eager_secs,
-            cold_secs,
-            warm_secs,
-            eager_secs / cold_secs,
-            eager_secs / warm_secs,
-        );
-    }
-    println!("  ]");
-    println!("}}");
-}
+use drill_net::{LeafSpineSpec, DEFAULT_PROP};
+use drill_runtime::{run, AuditSpec, ExperimentConfig, Scheme, TelemetrySpec, TopoSpec};
+use drill_sim::Time;
 
 /// Which observation layer rides along on the e2e run. Every variant is
 /// the identical simulation — the A/B harness asserts equal event counts.
@@ -489,21 +30,11 @@ enum E2eMode {
     Audit,
 }
 
-/// One fig2-shaped run (open-loop packet trains, queue sampling) against
-/// the compiled-in `EventQueue`. With [`E2eMode::Telemetry`] the flight
-/// recorder + queue sampler ride along; with [`E2eMode::Audit`] the
-/// invariant auditor does (same simulation, extra observation).
+/// One fig2-shaped run (open-loop packet trains, queue sampling). With
+/// [`E2eMode::Telemetry`] the flight recorder + queue sampler ride along;
+/// with [`E2eMode::Audit`] the invariant auditor does (same simulation,
+/// extra observation).
 fn e2e(mode: E2eMode) {
-    let queue = if cfg!(feature = "heap-queue") {
-        "heap"
-    } else {
-        "wheel"
-    };
-    let layout = if cfg!(feature = "fat-events") {
-        "fat"
-    } else {
-        "arena"
-    };
     let n = 20;
     let topo = TopoSpec::LeafSpine(LeafSpineSpec {
         spines: n,
@@ -548,7 +79,7 @@ fn e2e(mode: E2eMode) {
     let stats = run(&cfg);
     let wall = start.elapsed().as_secs_f64();
     println!(
-        "{{\"workload\": \"{workload}\", \"queue\": \"{queue}\", \"layout\": \"{layout}\", \"shards\": {shards}, \"wall_secs\": {:.3}, \"events\": {}, \"events_per_sec\": {:.0}, \"shard_handoffs\": {}, \"shard_windows\": {}}}",
+        "{{\"workload\": \"{workload}\", \"shards\": {shards}, \"wall_secs\": {:.3}, \"events\": {}, \"events_per_sec\": {:.0}, \"shard_handoffs\": {}, \"shard_windows\": {}}}",
         wall,
         stats.events,
         stats.events as f64 / wall,
@@ -558,15 +89,14 @@ fn e2e(mode: E2eMode) {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--control") {
-        control();
-    } else if std::env::args().any(|a| a == "--e2e-telemetry") {
-        e2e(E2eMode::Telemetry);
-    } else if std::env::args().any(|a| a == "--e2e-audit") {
-        e2e(E2eMode::Audit);
-    } else if std::env::args().any(|a| a == "--e2e") {
-        e2e(E2eMode::Plain);
-    } else {
-        micro();
-    }
+    let mode = match std::env::args().nth(1).as_deref() {
+        Some("--e2e") => E2eMode::Plain,
+        Some("--e2e-telemetry") => E2eMode::Telemetry,
+        Some("--e2e-audit") => E2eMode::Audit,
+        _ => {
+            eprintln!("usage: qbench --e2e | --e2e-telemetry | --e2e-audit");
+            std::process::exit(2);
+        }
+    };
+    e2e(mode);
 }

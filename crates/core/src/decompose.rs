@@ -157,9 +157,8 @@ pub fn install_symmetric_groups(topo: &Topology, routes: &mut RouteTable) -> Gro
 /// multi-candidate (switch, dst-leaf) entry independently — re-walking
 /// each entry's paths a second time.
 ///
-/// O(leaves² × paths) in time and memory; kept as the differential-golden
-/// reference for the structural engine and as the
-/// `eager_control_plane` A/B path in the runtime.
+/// O(leaves² × paths) in time and memory; kept only as the
+/// differential-test oracle for the structural engine.
 pub fn install_symmetric_groups_eager(topo: &Topology, routes: &mut RouteTable) -> GroupingReport {
     let start = std::time::Instant::now();
     let quiver = Quiver::build(topo, routes);

@@ -315,7 +315,7 @@ impl ClosSpec {
 
 /// Build a three-tier folded Clos from `spec`.
 ///
-/// Wiring rules (validated in tests and proptests):
+/// Wiring rules (validated in unit tests and seeded property sweeps):
 /// * within each pod, leaves and aggregation switches form a full bipartite
 ///   mesh (`leaves_per_pod * aggs_per_pod` links per pod);
 /// * the core tier is split into `aggs_per_pod` planes of

@@ -44,7 +44,8 @@ pub struct CongaTag {
 
 /// A packet in flight.
 ///
-/// Sized for by-value movement through the event queue. Higher layers
+/// Interned once in the [`crate::PacketArena`] at host send; events carry
+/// a [`crate::PacketRef`] handle, never the packet itself. Higher layers
 /// interpret the TCP-ish fields; switches only read `dst`, `flow_hash`, the
 /// source-route and the CONGA tag.
 #[derive(Clone, Debug)]
@@ -352,7 +353,8 @@ mod tests {
 
     #[test]
     fn packet_is_reasonably_small() {
-        // Packets move by value through the event queue; keep them compact.
+        // Packets are copied into arena slots and moved by value between
+        // the transport layer and the arena; keep them compact.
         assert!(
             std::mem::size_of::<Packet>() <= 112,
             "{}",

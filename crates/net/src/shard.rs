@@ -272,9 +272,8 @@ mod tests {
 
     #[test]
     fn randomized_leaf_spine_and_vl2_plans_hold_invariants() {
-        // Always-run mirror of the proptest properties (the proptest
-        // suite is feature-gated off in offline CI): random topologies x
-        // random requested shard counts, exact cover + lookahead bound.
+        // Random topologies x random requested shard counts, exact
+        // cover + lookahead bound (the root property suite widens this).
         let mut rng = SimRng::seed_from(0x5AAD);
         for _ in 0..40 {
             let topo = leaf_spine(&spec(2 + rng.below(5), 2 + rng.below(5), 1 + rng.below(4)));

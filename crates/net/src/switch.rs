@@ -375,7 +375,7 @@ impl Switch {
         topo: &Topology,
         routes: &RouteTable,
         arena: &mut PacketArena,
-        mut pref: PacketRef,
+        pref: PacketRef,
         ingress: u16,
         now: Time,
         rng: &mut SimRng,
@@ -384,7 +384,7 @@ impl Switch {
     ) {
         let from_host = topo.ingress_link(self.id, ingress).hop == HopClass::HostUp;
         let dst = {
-            let pkt = arena.get_mut(&mut pref);
+            let pkt = arena.get_mut(&pref);
             self.policy.on_arrival(pkt, now, topo, self.id);
             pkt.dst
         };
@@ -397,7 +397,7 @@ impl Switch {
             let picked = self.pick_fabric_port(
                 topo,
                 routes,
-                arena.get_mut(&mut pref),
+                arena.get_mut(&pref),
                 dst_leaf,
                 ingress,
                 now,
@@ -425,14 +425,8 @@ impl Switch {
             }
         };
 
-        self.policy.on_forward(
-            arena.get_mut(&mut pref),
-            port,
-            now,
-            topo,
-            self.id,
-            from_host,
-        );
+        self.policy
+            .on_forward(arena.get_mut(&pref), port, now, topo, self.id, from_host);
         let engine = ingress as usize % self.cfg.engines;
         self.enqueue_from_engine(topo, arena, port, pref, engine, now, out, probe);
     }

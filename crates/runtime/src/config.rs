@@ -239,13 +239,6 @@ pub struct ExperimentConfig {
     /// schemes that micro load balance. Disable to ablate asymmetry
     /// handling (DRILL then treats all candidates as one group).
     pub asymmetry_handling: bool,
-    /// Use the legacy enumerative §3.4 control plane
-    /// (`install_symmetric_groups_eager`: global Quiver + per-entry path
-    /// re-enumeration) instead of the structural `SymmetryEngine`. Both
-    /// produce identical group tables; this knob exists for A/B
-    /// benchmarks and the structural-vs-eager regression tests. The eager
-    /// path is O(leaves² × paths) — do not enable at scale.
-    pub eager_control_plane: bool,
     /// Sample the Figure-2 queue-length STDV metric every 10 µs.
     pub sample_queues: bool,
     /// Open-loop packet-train mode (no TCP): used for the §3.2.3 queue
@@ -356,7 +349,6 @@ impl ExperimentConfig {
             ospf_delay: Time::from_millis(50),
             faults: None,
             asymmetry_handling: true,
-            eager_control_plane: false,
             sample_queues: false,
             raw_packet_mode: false,
             max_events: 0,

@@ -19,7 +19,6 @@
 use std::io;
 
 use drill_audit::{Audit, NoopAudit};
-use drill_core::install_symmetric_groups_eager;
 use drill_faults::FaultKind;
 use drill_net::snapio::{get_net_event, put_net_event};
 use drill_net::{HostId, NetEvent, PacketArena, RouteTable, ShardPlan, SwitchId};
@@ -203,7 +202,7 @@ impl<P: Probe, A: Audit> World<P, A> {
         debug_assert_eq!(self.stats.fct_ms.count(), 0, "snapshot of a finalized run");
         debug_assert_eq!(self.stats.flows_completed, 0);
 
-        let mut b = SnapshotBuilder::new(cfg!(feature = "fat-events"));
+        let mut b = SnapshotBuilder::new();
 
         // META: engine identity + clock.
         let mut buf = Vec::new();
@@ -216,8 +215,7 @@ impl<P: Probe, A: Audit> World<P, A> {
         put_varint(&mut buf, self.queue.events_processed());
         b.section(SEC_META, buf);
 
-        // ARENAS: wholesale slot + free-list state (slim layout; the fat
-        // layout records live counts and reconstructs from inline packets).
+        // ARENAS: wholesale slot + free-list state.
         let mut buf = Vec::new();
         put_varint(&mut buf, self.arenas.len() as u64);
         for a in &self.arenas {
@@ -427,9 +425,6 @@ impl<P: Probe> World<P> {
         cfg: &ExperimentConfig,
         probe: P,
     ) -> io::Result<World<P>> {
-        if snap.fat_layout() != cfg!(feature = "fat-events") {
-            return Err(invalid("snapshot packet layout differs from this build"));
-        }
         let mut w = World::build(cfg.clone(), probe, NoopAudit);
 
         // META: engine identity must match the rebuilt world.
@@ -498,11 +493,7 @@ impl<P: Probe> World<P> {
                 // The installed groups are a pure function of (topo,
                 // routes) — engine memo warmth never changes the output —
                 // so a cold engine here reproduces the live run's tables.
-                if w.cfg.eager_control_plane {
-                    install_symmetric_groups_eager(&w.topo, &mut w.routes);
-                } else {
-                    w.symmetry.install(&w.topo, &mut w.routes);
-                }
+                w.symmetry.install(&w.topo, &mut w.routes);
             }
             if matches!(w.cfg.scheme, Scheme::Wcmp) {
                 for i in 0..w.switches.len() {
@@ -750,8 +741,7 @@ impl<P: Probe> World<P> {
         }
 
         // Leak check: every packet recorded live must have found exactly
-        // one holder (arena slots in the slim layout; switch/NIC/shim/event
-        // decode re-insertions in the fat layout).
+        // one arena slot.
         let live: usize = w.arenas.iter().map(|a| a.live()).sum();
         if live != recorded_live {
             return Err(invalid("restored packet count disagrees with snapshot"));

@@ -3,7 +3,7 @@
 use drill_audit::{
     AnomalyReport, Audit, BoundarySample, FlowProgress, InvariantAuditor, NoopAudit, SnapshotRing,
 };
-use drill_core::{install_symmetric_groups_eager, SymmetryEngine};
+use drill_core::SymmetryEngine;
 use drill_faults::{FaultInjector, FaultKind, SabotageKind, SabotageSpec};
 use drill_net::{
     BufPool, EventSink, HopClass, HostId, HostNic, HostPolicy, NetEvent, Packet, PacketArena,
@@ -63,13 +63,11 @@ enum Event {
 /// a discriminant. `TcpTimer`/`ShimTimer` (u32 + u64) set the 24-byte
 /// floor; the packet-carrying `Net` variants fit under it only because
 /// they hold a [`PacketRef`] handle.
-#[cfg(not(feature = "fat-events"))]
 const _: () = assert!(std::mem::size_of::<Event>() <= 24);
 
 /// Whole-node bound: payload (`Option<Event>`, 24 + niche'd tag) + wheel
 /// bookkeeping (time, seq, freelist link, generation, state) must stay
 /// within one cache line with room to spare.
-#[cfg(not(feature = "fat-events"))]
 const _: () = assert!(drill_sim::node_size::<Event>() <= 56);
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -92,7 +90,7 @@ pub struct World<P: Probe = NoopProbe, A: Audit = NoopAudit> {
     routes: RouteTable,
     /// Structural §3.4 control plane. Persists interned structure across
     /// reconvergences so a fault only re-decomposes entries whose
-    /// fingerprint changed (unused when `cfg.eager_control_plane`).
+    /// fingerprint changed.
     symmetry: SymmetryEngine,
     switches: Vec<Switch>,
     nics: Vec<HostNic>,
@@ -376,11 +374,7 @@ impl<P: Probe, A: Audit> World<P, A> {
         let mut routes = RouteTable::compute(&topo);
         let mut symmetry = SymmetryEngine::new();
         if cfg.scheme.wants_symmetric_groups() && cfg.asymmetry_handling {
-            if cfg.eager_control_plane {
-                install_symmetric_groups_eager(&topo, &mut routes);
-            } else {
-                symmetry.install(&topo, &mut routes);
-            }
+            symmetry.install(&topo, &mut routes);
         }
 
         let sw_cfg = SwitchConfig {
@@ -1020,25 +1014,19 @@ impl<P: Probe, A: Audit> World<P, A> {
         // The BFS is a pure function of the up/down link state, so a
         // window of faults none of which can change reachability (e.g.
         // pure capacity degradation) provably leaves `routes` as-is; only
-        // the capacity-dependent group decomposition must rerun. The skip
-        // is audited by a regression test pinning stats bit-identical
-        // against the always-recompute eager path.
+        // the capacity-dependent group decomposition must rerun. A unit
+        // test pins the skipped-BFS tables against a fresh recompute.
         let window =
             &self.faults[self.faults_applied_at_reconv as usize..self.faults_applied as usize];
         let routes_stale = window.is_empty()
             || window
                 .iter()
-                .any(|&(_, kind, _)| kind.changes_reachability())
-            || self.cfg.eager_control_plane;
+                .any(|&(_, kind, _)| kind.changes_reachability());
         if routes_stale {
             self.routes = RouteTable::compute(&self.topo);
         }
         if self.cfg.scheme.wants_symmetric_groups() && self.cfg.asymmetry_handling {
-            if self.cfg.eager_control_plane {
-                install_symmetric_groups_eager(&self.topo, &mut self.routes);
-            } else {
-                self.symmetry.install(&self.topo, &mut self.routes);
-            }
+            self.symmetry.install(&self.topo, &mut self.routes);
         }
         if matches!(self.cfg.scheme, Scheme::Wcmp) {
             for i in 0..self.switches.len() {
@@ -1874,13 +1862,40 @@ mod tests {
         assert!(stats.completion_rate() > 0.9, "{}", stats.completion_rate());
     }
 
+    /// Assert the live routing state equals a from-scratch recompute:
+    /// candidates from a fresh BFS over the current topology, groups from
+    /// the enumerative §3.4 oracle `install_symmetric_groups_eager`.
+    /// Returns how many entries carry explicit groups.
+    fn assert_routes_match_fresh_eager<P: Probe, A: Audit>(w: &World<P, A>, label: &str) -> usize {
+        let mut fresh = RouteTable::compute(&w.topo);
+        drill_core::install_symmetric_groups_eager(&w.topo, &mut fresh);
+        let mut grouped = 0;
+        for si in 0..w.topo.num_switches() {
+            let s = SwitchId(si as u32);
+            for d in 0..w.topo.num_leaves() as u32 {
+                assert_eq!(
+                    w.routes.candidates(s, d),
+                    fresh.candidates(s, d),
+                    "{label}: candidates at switch {si} toward leaf {d}"
+                );
+                assert_eq!(
+                    w.routes.groups(s, d),
+                    fresh.groups(s, d),
+                    "{label}: groups at switch {si} toward leaf {d}"
+                );
+                grouped += usize::from(!fresh.groups(s, d).is_empty());
+            }
+        }
+        grouped
+    }
+
     #[test]
-    fn structural_plane_and_degrade_route_skip_match_eager_bitwise() {
-        // A pure-capacity window (the structural plane skips the routing
-        // BFS — Degrade cannot change reachability), then a reachability
-        // window (full recompute), then a restore. The legacy eager plane
-        // recomputes routes at every reconvergence; stats must still be
-        // bit-identical, pinning both the group tables and the skip.
+    fn reconvergence_tables_match_fresh_eager_and_degrade_skips_bfs() {
+        // A pure-capacity window (Degrade cannot change reachability, so
+        // the BFS is skipped and only the group decomposition reruns),
+        // then a reachability window (full recompute), then a restore.
+        // After each reconvergence the live tables must equal a fresh
+        // recompute with the enumerative §3.4 oracle.
         let mut cfg = quick_cfg(Scheme::drill_default(), 0.3);
         let topo = cfg.topo.build();
         let pairs = random_leaf_spine_failures(&topo, 2, 17);
@@ -1909,26 +1924,40 @@ mod tests {
             },
         );
         cfg.faults = Some(s);
-        let structural = run(&cfg);
-        cfg.eager_control_plane = true;
-        let eager = run(&cfg);
-        assert_eq!(structural.fault_events, 3);
-        assert_eq!(structural.reconvergences, 3, "degrade still reconverges");
-        assert_eq!(structural.events, eager.events);
-        assert_eq!(structural.flows_started, eager.flows_started);
-        assert_eq!(structural.flows_completed, eager.flows_completed);
-        assert_eq!(structural.reconvergences, eager.reconvergences);
-        assert_eq!(structural.fault_window_ns, eager.fault_window_ns);
-        assert_eq!(structural.retransmissions, eager.retransmissions);
-        assert_eq!(structural.blackholed, eager.blackholed);
-        assert_eq!(
-            structural.mean_fct_ms().to_bits(),
-            eager.mean_fct_ms().to_bits()
-        );
-        assert_eq!(
-            structural.dupacks.frac(0).to_bits(),
-            eager.dupacks.frac(0).to_bits()
-        );
+        let mut w = World::new(&cfg);
+
+        // The identity of one non-empty candidate list's storage tells a
+        // skipped BFS from a recompute: `RouteTable::compute` allocates
+        // the new table while the old one is still alive, so a recompute
+        // can never hand back the same buffer.
+        let (probe_sw, probe_leaf) = (0..w.topo.num_switches())
+            .flat_map(|si| (0..w.topo.num_leaves() as u32).map(move |d| (SwitchId(si as u32), d)))
+            .find(|&(s, d)| !w.routes.candidates(s, d).is_empty())
+            .expect("some entry has candidates");
+        let storage = |w: &World| w.routes.candidates(probe_sw, probe_leaf).as_ptr();
+
+        // Degrade applied at 1 ms, reconvergence due at 1.3 ms.
+        w.run_to(Time::from_micros(1200));
+        assert_eq!(w.stats.reconvergences, 0);
+        let before = storage(&w);
+        w.run_to(Time::from_micros(1500));
+        assert_eq!(w.stats.reconvergences, 1, "degrade still reconverges");
+        assert_eq!(storage(&w), before, "degrade window skipped the BFS");
+        let grouped = assert_routes_match_fresh_eager(&w, "after degrade");
+        assert!(grouped > 0, "the degraded link split some entry");
+
+        w.run_to(Time::from_micros(2500));
+        assert_eq!(w.stats.reconvergences, 2);
+        assert_ne!(storage(&w), before, "link-down window recomputed routes");
+        assert_routes_match_fresh_eager(&w, "after link down");
+
+        w.run_to(Time::from_micros(3500));
+        assert_eq!(w.stats.reconvergences, 3);
+        assert_routes_match_fresh_eager(&w, "after link up");
+
+        let stats = w.finish();
+        assert_eq!(stats.fault_events, 3);
+        assert_eq!(stats.reconvergences, 3);
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! The pre-timing-wheel event queue: a `BinaryHeap` with a `HashSet` of
 //! cancelled tokens.
 //!
-//! Kept in-tree as the baseline the `qbench` harness and the differential
-//! tests compare the timing wheel against. Building the workspace with the
-//! `heap-queue` feature swaps this implementation back in as
-//! `drill_sim::EventQueue` for A/B end-to-end runs (`scripts/qbench.sh`
-//! does exactly that for the fig2 wall-clock comparison).
+//! Test-only: it is the reference the timing wheel is differential-tested
+//! against. Its ordering contract is the obvious one — pop the least
+//! `(time, seq)`, with `seq` a push counter — so a wheel that replays its
+//! pop stream bit-for-bit under random churn has the same semantics.
 //!
 //! Known deficiency, by design left unfixed here: cancelling a token
 //! *after* its event was delivered inserts into `cancelled` a token id
-//! that no pop will ever remove, so long cancel-after-fire workloads grow
-//! the set without bound. The timing wheel's generation-stamped slots fix
-//! this; `qbench`'s churn workload makes the cost visible.
+//! that no pop will ever remove. The timing wheel's generation-stamped
+//! slots fix this.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
@@ -49,8 +47,8 @@ impl<P> Eq for Entry<P> {}
 
 /// The legacy binary-heap future-event list (see the module docs).
 ///
-/// API-compatible with [`crate::EventQueue`]; events at equal timestamps
-/// are delivered in push order.
+/// Mirrors the subset of [`crate::EventQueue`]'s API the differential
+/// tests drive; events at equal timestamps are delivered in push order.
 pub struct HeapQueue<P> {
     heap: BinaryHeap<Entry<P>>,
     seq: u64,
@@ -58,12 +56,6 @@ pub struct HeapQueue<P> {
     cancelled: HashSet<u64>,
     now: Time,
     popped: u64,
-}
-
-impl<P> Default for HeapQueue<P> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl<P> HeapQueue<P> {
@@ -92,34 +84,6 @@ impl<P> HeapQueue<P> {
         self.popped
     }
 
-    /// The next internally stamped FIFO sequence number (see
-    /// [`crate::EventQueue::next_seq`]).
-    #[inline]
-    pub fn next_seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Number of events still pending (including cancelled ones not yet
-    /// drained).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Heap entries plus cancellation-set residue; the counterpart of
-    /// [`crate::EventQueue::allocated_slots`] for memory-growth
-    /// comparisons.
-    #[inline]
-    pub fn allocated_slots(&self) -> usize {
-        self.heap.len() + self.cancelled.len()
-    }
-
     /// Schedule `payload` at absolute time `at`.
     #[inline]
     pub fn push(&mut self, at: Time, payload: P) {
@@ -136,12 +100,6 @@ impl<P> HeapQueue<P> {
             token: 0,
             payload,
         });
-    }
-
-    /// Schedule `payload` at `delay` after the current clock.
-    #[inline]
-    pub fn push_after(&mut self, delay: Time, payload: P) {
-        self.push(self.now + delay, payload);
     }
 
     /// Schedule `payload` at `at` with a caller-supplied FIFO sequence
@@ -161,47 +119,6 @@ impl<P> HeapQueue<P> {
             token: 0,
             payload,
         });
-    }
-
-    /// Schedule `payload` at `at` with a caller-supplied sequence number
-    /// *without* advancing the internal counter (see
-    /// [`crate::EventQueue::push_stamped`]): snapshot restore stamps
-    /// reserved-band sequences that must not perturb later pushes.
-    pub fn push_stamped(&mut self, at: Time, seq: u64, payload: P) {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: {at:?} < {:?}",
-            self.now
-        );
-        self.heap.push(Entry {
-            time: at,
-            seq,
-            token: 0,
-            payload,
-        });
-    }
-
-    /// Visit every pending non-cancelled entry as `(time, seq, &payload)`,
-    /// in arbitrary order (see [`crate::EventQueue::for_each_pending`]).
-    pub fn for_each_pending<F: FnMut(Time, u64, &P)>(&self, mut f: F) {
-        for e in self.heap.iter() {
-            if e.token != 0 && self.cancelled.contains(&e.token) {
-                continue;
-            }
-            f(e.time, e.seq, &e.payload);
-        }
-    }
-
-    /// Position a **fresh** queue at a restored clock (see
-    /// [`crate::EventQueue::restore_clock`]). Must run before any pushes.
-    pub fn restore_clock(&mut self, now: Time, seq: u64, popped: u64) {
-        debug_assert!(
-            self.heap.is_empty() && self.popped == 0,
-            "restore_clock requires a fresh queue"
-        );
-        self.now = now;
-        self.seq = seq;
-        self.popped = popped;
     }
 
     /// Schedule a cancellable event; keep the token to [`cancel`] it.
@@ -270,6 +187,7 @@ impl<P> HeapQueue<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SimRng, WheelQueue};
 
     #[test]
     fn pops_in_time_order_fifo_at_ties() {
@@ -310,5 +228,127 @@ mod tests {
         assert_eq!(q.peek_key(), Some((t, 8)));
         assert_eq!(q.pop(), Some((t, 99)));
         assert_eq!(q.pop(), None);
+    }
+
+    // Differential test: the timing wheel must replay this queue's
+    // delivery order bit-for-bit — same operation sequence ⇒ identical
+    // `(time, payload)` pop streams, including FIFO tie-breaks at equal
+    // timestamps, cancellations in every region of the wheel (level 0,
+    // upper levels, the far-future overflow, and the staged ready batch),
+    // and cancel-after-fire no-ops.
+
+    /// One randomized scenario: interleaved pushes (with a heavy-tailed time
+    /// spread so every wheel level and the overflow heap get traffic),
+    /// cancellations of a random subset, and batched pops.
+    fn churn_scenario(seed: u64, ops: usize, peek: bool) {
+        let mut rng = SimRng::seed_from(seed);
+        let mut wheel: WheelQueue<u64> = WheelQueue::new();
+        let mut heap: HeapQueue<u64> = HeapQueue::new();
+        let mut tokens: Vec<(EventToken, EventToken)> = Vec::new();
+        let mut payload = 0u64;
+
+        for _ in 0..ops {
+            match rng.below(10) {
+                // 0-5: push (sometimes cancellable) at a spread-out future time.
+                0..=5 => {
+                    let base = wheel.now();
+                    // Heavy tail: mostly near, occasionally deep into upper
+                    // levels or past the 2^36 ns wheel horizon.
+                    let gap = match rng.below(12) {
+                        0..=5 => rng.below(512) as u64,                // level 0/1
+                        6..=8 => rng.below(1 << 18) as u64,            // mid levels
+                        9..=10 => rng.below(1 << 30) as u64,           // high levels
+                        _ => (1u64 << 36) + rng.below(1 << 30) as u64, // overflow
+                    };
+                    let at = base + Time::from_nanos(gap);
+                    payload += 1;
+                    if rng.below(3) == 0 {
+                        let tw = wheel.push_cancellable(at, payload);
+                        let th = heap.push_cancellable(at, payload);
+                        tokens.push((tw, th));
+                    } else {
+                        wheel.push(at, payload);
+                        heap.push(at, payload);
+                    }
+                    // A burst of same-timestamp events now and then, to
+                    // exercise the FIFO tie-break hard.
+                    if rng.below(8) == 0 {
+                        for _ in 0..rng.below(6) {
+                            payload += 1;
+                            wheel.push(at, payload);
+                            heap.push(at, payload);
+                        }
+                    }
+                }
+                // 6: cancel a random outstanding token (possibly already
+                // fired — both sides must treat that as a no-op).
+                6 => {
+                    if !tokens.is_empty() {
+                        let i = rng.below(tokens.len());
+                        let (tw, th) = tokens.swap_remove(i);
+                        wheel.cancel(tw);
+                        heap.cancel(th);
+                    }
+                }
+                // 7-9: pop a small batch and compare the streams.
+                _ => {
+                    for _ in 0..=rng.below(4) {
+                        if peek {
+                            assert_eq!(wheel.peek_time(), heap.peek_time(), "peek diverged");
+                        }
+                        let w = wheel.pop();
+                        let h = heap.pop();
+                        assert_eq!(w, h, "pop stream diverged (seed {seed})");
+                        assert_eq!(wheel.now(), heap.now());
+                        if w.is_none() {
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        // Drain both to the end.
+        loop {
+            let w = wheel.pop();
+            let h = heap.pop();
+            assert_eq!(w, h, "drain diverged (seed {seed})");
+            if w.is_none() {
+                break;
+            }
+        }
+        assert_eq!(wheel.events_processed(), heap.events_processed());
+        assert!(wheel.is_empty());
+    }
+
+    #[test]
+    fn replays_heap_order_across_seeds() {
+        for seed in 0..20 {
+            churn_scenario(seed, 4_000, false);
+        }
+    }
+
+    #[test]
+    fn replays_heap_order_with_interleaved_peeks() {
+        for seed in 100..110 {
+            churn_scenario(seed, 2_000, true);
+        }
+    }
+
+    #[test]
+    fn len_tracks_live_events_only() {
+        let mut wheel: WheelQueue<u32> = WheelQueue::new();
+        let toks: Vec<_> = (0..100)
+            .map(|i| wheel.push_cancellable(Time::from_nanos(10 + i), 0))
+            .collect();
+        assert_eq!(wheel.len(), 100);
+        for t in &toks[..40] {
+            wheel.cancel(*t);
+        }
+        assert_eq!(wheel.len(), 60, "cancel is reflected immediately");
+        let mut n = 0;
+        while wheel.pop().is_some() {
+            n += 1;
+        }
+        assert_eq!(n, 60);
     }
 }

@@ -7,10 +7,9 @@
 //! * [`Time`] — a nanosecond-resolution simulated clock value.
 //! * [`EventQueue`] — a hierarchical timing wheel of `(Time, payload)`
 //!   entries with FIFO ordering for simultaneous events, which makes
-//!   whole simulations reproducible bit-for-bit given a seed. The legacy
-//!   binary-heap implementation survives as [`HeapQueue`] for baseline
-//!   benchmarking, and the off-by-default `heap-queue` cargo feature
-//!   swaps it back in as `EventQueue` for A/B end-to-end runs.
+//!   whole simulations reproducible bit-for-bit given a seed. (The legacy
+//!   binary-heap queue survives only in this crate's unit tests, as the
+//!   reference the wheel's pop order is differential-tested against.)
 //! * [`SimRng`] — a seedable, splittable random number generator so that
 //!   independent components (switches, hosts, workload generators) each get
 //!   their own deterministic stream.
@@ -42,18 +41,15 @@
 pub mod codec;
 mod event;
 mod fx;
+#[cfg(test)]
 mod heap;
 mod rng;
 mod time;
 
-#[cfg(not(feature = "heap-queue"))]
 pub use event::EventQueue;
-#[cfg(feature = "heap-queue")]
-pub use heap::HeapQueue as EventQueue;
-
+// The name benchmark harnesses use when they mean "the timing wheel".
 pub use event::EventQueue as WheelQueue;
 pub use event::{node_size, EventToken};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use heap::HeapQueue;
 pub use rng::SimRng;
 pub use time::Time;

@@ -19,6 +19,7 @@
 
 #![warn(missing_docs)]
 
+mod exact_sum;
 mod histogram;
 mod moments;
 mod percentile;

@@ -12,6 +12,7 @@
 //! stay exact forever, quantiles/CDF become rank-bounded estimates after
 //! the spill (see [`Distribution::rank_error_bound`]).
 
+use crate::exact_sum::ExactSum;
 use crate::sketch::QuantileSketch;
 
 /// Samples kept exactly before a [`Distribution`] spills into the sketch.
@@ -38,8 +39,8 @@ enum Store {
 #[derive(Clone, Debug)]
 pub struct Distribution {
     store: Store,
-    /// Exact running sum (both modes).
-    sum: f64,
+    /// Exact running sum (both modes): merge order never changes `mean`.
+    sum: ExactSum,
     /// Exact-mode capacity before converting to the sketch.
     spill_limit: usize,
 }
@@ -71,7 +72,7 @@ impl Distribution {
         };
         Distribution {
             store,
-            sum: 0.0,
+            sum: ExactSum::default(),
             spill_limit: limit,
         }
     }
@@ -90,7 +91,7 @@ impl Distribution {
                 samples: Vec::with_capacity(n),
                 sorted: true,
             },
-            sum: 0.0,
+            sum: ExactSum::default(),
             spill_limit: EXACT_SPILL_LIMIT,
         }
     }
@@ -165,7 +166,7 @@ impl Distribution {
     #[inline]
     pub fn add(&mut self, x: f64) {
         debug_assert!(x.is_finite(), "non-finite sample {x}");
-        self.sum += x;
+        self.sum.add(x);
         match &mut self.store {
             Store::Exact { samples, sorted } => {
                 samples.push(x);
@@ -192,7 +193,7 @@ impl Distribution {
             // in particular it must not spill an exact store.
             return;
         }
-        self.sum += other.sum;
+        self.sum.merge(&other.sum);
         match (&mut self.store, &other.store) {
             (Store::Exact { samples, sorted }, Store::Exact { samples: os, .. }) => {
                 if samples.len() + os.len() <= self.spill_limit {
@@ -244,7 +245,7 @@ impl Distribution {
         if self.is_empty() {
             0.0
         } else {
-            self.sum / self.count() as f64
+            self.sum.value() / self.count() as f64
         }
     }
 

@@ -42,7 +42,7 @@
 //! envelope over the alternating compactor's observed error (the
 //! random-coin KLL analysis gives O(1/k) w.h.p.; alternation behaves the
 //! same in practice but trades the probabilistic worst case for
-//! determinism). The differential goldens in `tests/` and the proptests
+//! determinism). The differential goldens and seeded sweeps in `tests/`
 //! hold every p50/p90/p99 estimate to this bound against exact
 //! order-statistics, so a regression in compaction quality fails loudly.
 

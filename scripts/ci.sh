@@ -1,88 +1,54 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus lint, all offline-safe (the workspace has no external
-# dependencies; see the note in the root Cargo.toml).
+# dependencies and no cargo features: there is exactly one build).
 #
-# The test matrix covers both event-queue builds (default timing wheel
-# and the legacy --features heap-queue) and both ends of the executor
-# knob (DRILL_THREADS=1 serial, DRILL_THREADS=8 oversubscribed) — the
-# sweep determinism contract says results must not depend on either.
+# The test matrix crosses the two runtime knobs the determinism contract
+# quantifies over: the executor (DRILL_THREADS=1 serial, =8
+# oversubscribed) and the engine (DRILL_SHARDS=1/2/8). Results must not
+# depend on either, nor on whether the flight recorder or the invariant
+# auditor rides along.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test -q (wheel queue, DRILL_THREADS=1) =="
+echo "== cargo test -q (DRILL_THREADS=1) =="
 DRILL_THREADS=1 cargo test -q
 
-echo "== cargo test -q (wheel queue, DRILL_THREADS=8) =="
+echo "== cargo test -q (DRILL_THREADS=8) =="
 DRILL_THREADS=8 cargo test -q
 
 echo "== cargo test --workspace -q (crate unit tests) =="
 # Root `cargo test` builds only the `drill` package; the unit tests inside
-# crates/* (world, switch, wheel, arena, the §3.4 symmetry engine and its
-# signature-walk oracle, ...) run only under --workspace. The root
-# package's own suites already ran in the two rows above.
+# crates/* (world, switch, wheel and its heap-queue differential, arena,
+# the §3.4 symmetry engine and its signature-walk oracle, ...) run only
+# under --workspace. The root package's own suites already ran above.
 cargo test --workspace --exclude drill -q
 
-echo "== cargo test -q (--features heap-queue) =="
-cargo test -q --features heap-queue
-
-echo "== golden suite with flight recorder attached (DRILL_TELEMETRY=1) =="
-# The telemetry determinism contract: every golden constant must hold
-# unchanged with the recorder riding along, on both queue builds.
-DRILL_TELEMETRY=1 cargo test -q --test determinism_golden
-DRILL_TELEMETRY=1 cargo test -q --test determinism_golden --features heap-queue
-
-echo "== golden suite with invariant auditor attached (DRILL_AUDIT=1) =="
-# The audit determinism contract: watchdogs observe, never steer — every
-# golden constant must hold unchanged with the auditor riding along,
-# across the full engine matrix (shard counts x queue builds x packet
-# layouts). These rows ARE the auditor-on vs auditor-off bit-identity
-# proof: the golden constants were captured auditor-off.
+echo "== engine goldens x DRILL_SHARDS=1/2/8 (plain, recorder, auditor) =="
+# The sharding contract: every determinism golden — chaos schedule
+# included — and every DRILLSNAP resume golden (a run checkpointed
+# mid-flight and restored from bytes) must replay bit-identically at any
+# shard count. DRILL_SHARDS=1 runs the serial engine, so the =1 rows also
+# prove the env plumbing is inert. The observation contracts ride the
+# same axis: the flight recorder (DRILL_TELEMETRY=1) and the invariant
+# auditor (DRILL_AUDIT=1) observe, never steer, so every golden constant —
+# captured with both off — must hold with either attached.
 for shards in 1 2 8; do
+    DRILL_SHARDS=$shards cargo test -q --test determinism_golden --test snapshot_resume
+    DRILL_TELEMETRY=1 DRILL_SHARDS=$shards cargo test -q --test determinism_golden
     DRILL_AUDIT=1 DRILL_SHARDS=$shards cargo test -q --test determinism_golden
-    DRILL_AUDIT=1 DRILL_SHARDS=$shards cargo test -q --test determinism_golden --features heap-queue
-    DRILL_AUDIT=1 DRILL_SHARDS=$shards cargo test -q --test determinism_golden --features fat-events
 done
 
-echo "== chaos determinism goldens (both queue builds, DRILL_THREADS=1/8) =="
-# The fault pipeline's replay contract: the pinned chaos schedule (flaps +
-# degradation + switch crash) must stay bit-identical across serial vs
-# threaded sweeps and with telemetry on/off, on both event-queue builds.
-# (The wheel build already ran above under DRILL_THREADS=1/8.)
-DRILL_THREADS=1 cargo test -q --test determinism_golden --features heap-queue
-DRILL_THREADS=8 cargo test -q --test determinism_golden --features heap-queue
-
-echo "== packet-layout goldens (--features fat-events, DRILL_THREADS=1/8) =="
-# The arena contract: by-value packet events (the pre-arena layout) must
-# replay every golden — event counts, leak checks, chaos fingerprints —
-# bit-identically. Size asserts for the slim layout are compile-time and
-# ran with every build above.
-DRILL_THREADS=1 cargo test -q --test determinism_golden --features fat-events
-DRILL_THREADS=8 cargo test -q --test determinism_golden --features fat-events
-
-echo "== sharded-engine goldens (DRILL_SHARDS=1/2/8 x wheel/heap/fat builds) =="
-# The sharding contract: every determinism golden — chaos schedule and
-# telemetry crossings included — must replay bit-identically at any shard
-# count, on every event-queue and packet-layout build. DRILL_SHARDS=1 runs
-# the serial engine, so the =1 rows also prove the env plumbing is inert.
-for shards in 1 2 8; do
-    DRILL_SHARDS=$shards cargo test -q --test determinism_golden
-    DRILL_SHARDS=$shards cargo test -q --test determinism_golden --features heap-queue
-    DRILL_SHARDS=$shards cargo test -q --test determinism_golden --features fat-events
-done
-
-echo "== snapshot-resume goldens (DRILL_SHARDS=1/2/8 x wheel/heap/fat builds) =="
-# The DRILLSNAP contract: a run checkpointed mid-flight and restored from
-# bytes must replay every golden bit-identically — on every engine and
-# packet layout, with warm-started sweeps matching cold ones. (The suite
-# already ran once per full-matrix `cargo test` above; these rows cross
-# the save/restore boundary over the engine matrix explicitly.)
-for shards in 1 2 8; do
-    DRILL_SHARDS=$shards cargo test -q --test snapshot_resume
-    DRILL_SHARDS=$shards cargo test -q --test snapshot_resume --features heap-queue
-    DRILL_SHARDS=$shards cargo test -q --test snapshot_resume --features fat-events
+echo "== structural-vs-eager differential golden (DRILL_SHARDS=1/2) =="
+# The §3.4 control-plane contract: the structural SymmetryEngine must
+# install group tables bit-identical to the eager enumeration on every
+# topology family and under random failure sets. Groups are a pure
+# function of (topology, routes), so the shard count may not perturb
+# them.
+for shards in 1 2; do
+    DRILL_SHARDS=$shards cargo test -q --test structural_groups
 done
 
 echo "== chaosbench --quick smoke =="
@@ -93,7 +59,7 @@ echo "== scalebench --quick smoke =="
 # Seconds-scale scaling ladder (leaf-spine, small Clos, k=8 fat-tree)
 # plus the sketch rank-error section. The small-Clos determinism golden
 # itself rides in determinism_golden, which the DRILL_SHARDS=1/2/8 loop
-# above already crosses with every build.
+# above already crosses.
 ./target/release/scalebench --quick > /dev/null
 ./target/release/scalebench --sketch --quick > /dev/null
 
@@ -111,17 +77,6 @@ assert d['cp_classes'] < d['cp_entries'], 'no class sharing across entries'
 assert d['cp_entries_reused'] == d['cp_entries'] - d['cp_classes'], 'reuse mismatch'
 assert d['cp_install_secs'] > 0 and d['cp_reconverge_secs'] > 0, 'probe not timed'
 "
-
-echo "== structural-vs-eager differential golden (DRILL_SHARDS=1/2 x wheel/heap) =="
-# The §3.4 control-plane contract: the structural SymmetryEngine must
-# install group tables bit-identical to the eager enumeration on every
-# topology family and under random failure sets. Groups are a pure
-# function of (topology, routes), so neither the shard count nor the
-# event-queue build may perturb them.
-for shards in 1 2; do
-    DRILL_SHARDS=$shards cargo test -q --test structural_groups
-    DRILL_SHARDS=$shards cargo test -q --test structural_groups --features heap-queue
-done
 
 echo "== scalebench kill-and-resume crash-recovery smoke =="
 # Checkpoint every 50k events, die mid-run (simulated kill, exit 42),

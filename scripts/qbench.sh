@@ -1,19 +1,16 @@
 #!/usr/bin/env bash
-# Event-queue perf harness: in-process micro A/B (wheel vs heap), an
-# end-to-end fig2-style wall-clock A/B across the two queue builds, a
-# telemetry-overhead A/B (NoopProbe build vs flight-recorder attached),
-# an auditor-overhead A/B (NoopAudit vs the drill-audit watchdogs), a
-# packet-layout A/B (arena handles vs --features fat-events by-value
-# packets), a shard-count A/B (DRILL_SHARDS=1/2/8 against the sharded
-# engine, equal-event-count asserted), and a §3.4 control-plane A/B
-# (eager enumeration vs structural cold/warm installs, identical group
-# tables asserted). Writes results/qbench.json.
-# Offline-safe: no external deps.
+# End-to-end overhead A/Bs on the fig2-shaped qbench run: the flight
+# recorder (NoopProbe vs recorder attached), the invariant auditor
+# (NoopAudit vs watchdogs) and the shard count (DRILL_SHARDS=1/2/8). Every
+# pair must report an identical event count — observation and sharding
+# never change the simulation. Updates the `telemetry_ab`, `audit_ab` and
+# `shard_ab` sections of results/qbench.json; the file's other sections
+# are kept as a historical record (see results/README.md).
+# Offline-safe: no external deps. Per-layer costs live in perfbench/.
 #
-# All builds are compiled up front and their binaries copied aside, then
-# the e2e runs alternate sides (wheel/heap, noop/telemetry, noop/auditor, arena/fat) so
-# background-load drift on the host hits both sides evenly instead of
-# biasing whichever ran last.
+# The binary is built once and copied aside, then the runs alternate
+# sides so background-load drift on the host hits both sides evenly
+# instead of biasing whichever ran last.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,61 +20,31 @@ mkdir -p results
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-echo "== building (heap-queue) =="
-cargo build --release -p drill-bench --features heap-queue
-cp target/release/qbench "$tmp/qbench-heap"
-
-echo "== building (fat-events) =="
-cargo build --release -p drill-bench --features fat-events
-cp target/release/qbench "$tmp/qbench-fat"
-
-echo "== building (wheel + arena, default) =="
+echo "== building =="
 cargo build --release -p drill-bench
-cp target/release/qbench "$tmp/qbench-wheel"
+cp target/release/qbench "$tmp/qbench"
 
-echo "== micro: hold + churn, wheel vs heap in-process =="
-"$tmp/qbench-wheel" | tee "$tmp/micro.json"
-
-echo "== control plane: eager vs structural (cold/warm) on failed fabrics =="
-"$tmp/qbench-wheel" --control | tee "$tmp/control.json"
-
-# Keep the previous e2e result (if any) as the cross-PR reference before
-# this run overwrites results/qbench.json.
+# Keep the previous noop result (if any) as the cross-run reference
+# before this run overwrites it.
 baseline="null"
 if [ -f results/qbench.json ]; then
-  baseline=$(python3 -c 'import json; d = json.load(open("results/qbench.json")); print(json.dumps(d.get("e2e_fig2", {}).get("wheel", {}).get("wall_secs")))')
+  baseline=$(python3 -c 'import json; d = json.load(open("results/qbench.json")); print(json.dumps(d.get("telemetry_ab", {}).get("noop", {}).get("wall_secs")))')
 fi
-
-echo "== e2e, interleaved wheel/heap x $E2E_RUNS each =="
-: > "$tmp/e2e-wheel.jsonl"
-: > "$tmp/e2e-heap.jsonl"
-for i in $(seq "$E2E_RUNS"); do
-  "$tmp/qbench-wheel" --e2e | tee -a "$tmp/e2e-wheel.jsonl"
-  "$tmp/qbench-heap" --e2e | tee -a "$tmp/e2e-heap.jsonl"
-done
 
 echo "== e2e telemetry overhead, interleaved noop/recording x $E2E_RUNS each =="
 : > "$tmp/e2e-noop.jsonl"
 : > "$tmp/e2e-telemetry.jsonl"
 for i in $(seq "$E2E_RUNS"); do
-  "$tmp/qbench-wheel" --e2e | tee -a "$tmp/e2e-noop.jsonl"
-  "$tmp/qbench-wheel" --e2e-telemetry | tee -a "$tmp/e2e-telemetry.jsonl"
+  "$tmp/qbench" --e2e | tee -a "$tmp/e2e-noop.jsonl"
+  "$tmp/qbench" --e2e-telemetry | tee -a "$tmp/e2e-telemetry.jsonl"
 done
 
 echo "== e2e audit overhead, interleaved noop/auditor x $E2E_RUNS each =="
 : > "$tmp/e2e-auditoff.jsonl"
 : > "$tmp/e2e-audit.jsonl"
 for i in $(seq "$E2E_RUNS"); do
-  "$tmp/qbench-wheel" --e2e | tee -a "$tmp/e2e-auditoff.jsonl"
-  "$tmp/qbench-wheel" --e2e-audit | tee -a "$tmp/e2e-audit.jsonl"
-done
-
-echo "== e2e packet layout, interleaved arena/fat x $E2E_RUNS each =="
-: > "$tmp/e2e-arena.jsonl"
-: > "$tmp/e2e-fat.jsonl"
-for i in $(seq "$E2E_RUNS"); do
-  "$tmp/qbench-wheel" --e2e | tee -a "$tmp/e2e-arena.jsonl"
-  "$tmp/qbench-fat" --e2e | tee -a "$tmp/e2e-fat.jsonl"
+  "$tmp/qbench" --e2e | tee -a "$tmp/e2e-auditoff.jsonl"
+  "$tmp/qbench" --e2e-audit | tee -a "$tmp/e2e-audit.jsonl"
 done
 
 echo "== e2e shard A/B, interleaved DRILL_SHARDS=1/2/8 x $E2E_RUNS each =="
@@ -85,17 +52,18 @@ echo "== e2e shard A/B, interleaved DRILL_SHARDS=1/2/8 x $E2E_RUNS each =="
 : > "$tmp/e2e-shard2.jsonl"
 : > "$tmp/e2e-shard8.jsonl"
 for i in $(seq "$E2E_RUNS"); do
-  DRILL_SHARDS=1 "$tmp/qbench-wheel" --e2e | tee -a "$tmp/e2e-shard1.jsonl"
-  DRILL_SHARDS=2 "$tmp/qbench-wheel" --e2e | tee -a "$tmp/e2e-shard2.jsonl"
-  DRILL_SHARDS=8 "$tmp/qbench-wheel" --e2e | tee -a "$tmp/e2e-shard8.jsonl"
+  DRILL_SHARDS=1 "$tmp/qbench" --e2e | tee -a "$tmp/e2e-shard1.jsonl"
+  DRILL_SHARDS=2 "$tmp/qbench" --e2e | tee -a "$tmp/e2e-shard2.jsonl"
+  DRILL_SHARDS=8 "$tmp/qbench" --e2e | tee -a "$tmp/e2e-shard8.jsonl"
 done
 
 python3 - "$tmp" "$baseline" <<'EOF'
-import json, sys
+import json, os, sys
 
 tmp = sys.argv[1]
 baseline = json.loads(sys.argv[2])
-doc = json.load(open(f"{tmp}/micro.json"))
+path = "results/qbench.json"
+doc = json.load(open(path)) if os.path.exists(path) else {"bench": "qbench"}
 
 def median_run(path):
     runs = [json.loads(l) for l in open(path) if l.strip()]
@@ -104,15 +72,6 @@ def median_run(path):
     med["runs"] = len(runs)
     return med
 
-wheel = median_run(f"{tmp}/e2e-wheel.jsonl")
-heap = median_run(f"{tmp}/e2e-heap.jsonl")
-assert wheel["events"] == heap["events"], "queue swap changed the simulation!"
-doc["e2e_fig2"] = {
-    "wheel": wheel,
-    "heap": heap,
-    "wall_clock_improvement": round(1 - wheel["wall_secs"] / heap["wall_secs"], 3),
-}
-
 noop = median_run(f"{tmp}/e2e-noop.jsonl")
 tel = median_run(f"{tmp}/e2e-telemetry.jsonl")
 # Determinism contract: the flight recorder observes but never steers.
@@ -120,8 +79,7 @@ assert noop["events"] == tel["events"], "telemetry changed the simulation!"
 doc["telemetry_ab"] = {
     "noop": noop,
     "recording": tel,
-    # Cost of the always-compiled-in probe seams relative to the last
-    # pre-telemetry run of this script (null on first run; expect this to
+    # The previous run's noop median (null on first run; expect this to
     # sit within run-to-run noise).
     "noop_vs_previous_baseline_secs": baseline,
     "recording_overhead": round(tel["wall_secs"] / noop["wall_secs"] - 1, 3),
@@ -139,23 +97,6 @@ doc["audit_ab"] = {
     "audit_overhead": round(aon["wall_secs"] / aoff["wall_secs"] - 1, 3),
 }
 
-arena = median_run(f"{tmp}/e2e-arena.jsonl")
-fat = median_run(f"{tmp}/e2e-fat.jsonl")
-# Determinism contract: the arena changes the memory layout, never the
-# simulation.
-assert arena["events"] == fat["events"], "packet layout changed the simulation!"
-micro_pay = {c["workload"]: c for c in doc["results"] if c["workload"].startswith("hold4096_pay")}
-doc["arena_ab"] = {
-    "arena": arena,
-    "fat": fat,
-    "wall_clock_improvement": round(1 - arena["wall_secs"] / fat["wall_secs"], 3),
-    # The micro half: same wheel + workload, payload grown from
-    # handle-sized to packet-sized.
-    "micro_hold4096": {
-        "pay24_mops": round(micro_pay["hold4096_pay24"]["mops_per_sec"], 3),
-        "pay112_mops": round(micro_pay["hold4096_pay112"]["mops_per_sec"], 3),
-    },
-}
 s1 = median_run(f"{tmp}/e2e-shard1.jsonl")
 s2 = median_run(f"{tmp}/e2e-shard2.jsonl")
 s8 = median_run(f"{tmp}/e2e-shard8.jsonl")
@@ -163,7 +104,6 @@ s8 = median_run(f"{tmp}/e2e-shard8.jsonl")
 # simulation — the event count must not move with the shard count.
 assert s1["events"] == s2["events"] == s8["events"], "shard count changed the simulation!"
 assert s2["shard_handoffs"] > 0 and s8["shard_handoffs"] > 0, "sharded run exchanged no handoffs"
-import os
 cores = os.cpu_count() or 1
 doc["shard_ab"] = {
     "shard1": s1,
@@ -179,23 +119,14 @@ doc["shard_ab"] = {
     # deliver. Speedups < 1.0 here are the measured sharding overhead.
     "expectation": "parity-or-overhead" if cores <= 1 else "speedup-or-parity",
 }
-# §3.4 control-plane A/B: eager enumeration vs the structural
-# symmetry-class engine (cold install and warm reconvergence), identical
-# group tables asserted by the binary before timing.
-doc["control_ab"] = json.load(open(f"{tmp}/control.json"))
-json.dump(doc, open("results/qbench.json", "w"), indent=2)
-print("wrote results/qbench.json")
-print(f"e2e wall-clock improvement: {doc['e2e_fig2']['wall_clock_improvement']:.1%}")
+json.dump(doc, open(path, "w"), indent=2)
+print(f"updated {path}")
 print(f"telemetry recording overhead: {doc['telemetry_ab']['recording_overhead']:.1%}")
 print(f"invariant auditor overhead: {doc['audit_ab']['audit_overhead']:.1%}")
-print(f"arena vs fat-events e2e improvement: {doc['arena_ab']['wall_clock_improvement']:.1%}")
 print(f"shard A/B ({cores}-core host, expect {doc['shard_ab']['expectation']}): "
       f"2-shard {doc['shard_ab']['speedup_2_over_1']:.3f}x, "
       f"8-shard {doc['shard_ab']['speedup_8_over_1']:.3f}x vs serial")
-for f in doc["control_ab"]["fabrics"]:
-    print(f"control plane {f['fabric']}: structural cold {f['speedup_cold']:.2f}x, "
-          f"warm {f['speedup_warm']:.2f}x vs eager")
 if baseline is not None:
     drift = noop["wall_secs"] / baseline - 1
-    print(f"noop e2e vs pre-run baseline: {drift:+.1%}")
+    print(f"noop e2e vs previous run: {drift:+.1%}")
 EOF

@@ -430,7 +430,7 @@ fn truncated_section_carries_typed_codec_error() {
     };
     // Section tag 1 is SEC_META, the first section restore decodes. A
     // lone 0x80 is a varint continuation byte with no terminator.
-    let mut b = SnapshotBuilder::new(cfg!(feature = "fat-events"));
+    let mut b = SnapshotBuilder::new();
     b.section(1, vec![0x80]);
     let snap = b.finish();
     let err = match World::restore(&snap, &cfg) {

@@ -1,13 +1,9 @@
-//! Std-only randomized mirrors of the builder and sketch properties in
-//! `tests/proptest_invariants.rs`.
-//!
-//! The proptest suite needs a restored dev-dependency (see the `proptest`
-//! feature note in the root Cargo.toml), so these seeded sweeps keep the
-//! same invariants in the always-compiled tier-1 run: topology builders
-//! must match their closed-form counts, expose port maps that exactly
-//! cover the link table, and wire every leaf pair reachable; sketched
-//! distributions must merge deterministically and stay within the
-//! configured rank-error bound of exact order statistics.
+//! Seeded randomized sweeps over the builder and sketch properties (the
+//! other properties live in `tests/property_invariants.rs`): topology
+//! builders must match their closed-form counts, expose port maps that
+//! exactly cover the link table, and wire every leaf pair reachable;
+//! sketched distributions must merge deterministically and stay within
+//! the configured rank-error bound of exact order statistics.
 
 use drill::net::{
     clos, fat_tree_custom, vl2, ClosSpec, HostId, NodeRef, RouteTable, SwitchId, SwitchKind,

@@ -1,9 +1,9 @@
 //! `DRILLSNAP` resume goldens: a run checkpointed at time T and restored
 //! from the serialized bytes — as a fresh process would — must replay
 //! bit-identically to the uninterrupted run, on every engine (shard
-//! counts 1/2/8, wheel or heap queue, slim or fat packet layout: CI
-//! crosses this suite over all of them). The same discipline as
-//! `determinism_golden.rs`, extended over a save/restore boundary.
+//! counts 1/2/8: CI crosses this suite over all of them). The same
+//! discipline as `determinism_golden.rs`, extended over a save/restore
+//! boundary.
 
 use drill::faults::FaultSchedule;
 use drill::net::{LeafSpineSpec, DEFAULT_PROP};
